@@ -165,8 +165,8 @@ BM_CoSearchLayouts(benchmark::State& state)
     int threads = static_cast<int>(state.range(0));
     for (auto _ : state) {
         benchmark::DoNotOptimize(engine::searchMappings(
-            arch, benchLayer(), 100, 1, engine::Objective::Delay,
-            threads));
+            arch, benchLayer(), 100, 1,
+            {.objective = engine::Objective::Delay, .threads = threads}));
     }
 }
 BENCHMARK(BM_CoSearchLayouts)->Arg(1)->Arg(4);
@@ -189,8 +189,7 @@ BM_SearchParallel(benchmark::State& state)
     int threads = static_cast<int>(state.range(0));
     for (auto _ : state) {
         benchmark::DoNotOptimize(engine::searchMappings(
-            benchArch(), benchLayer(), 400, 1, engine::Objective::Energy,
-            threads));
+            benchArch(), benchLayer(), 400, 1, {.threads = threads}));
     }
 }
 BENCHMARK(BM_SearchParallel)->Arg(1)->Arg(2)->Arg(4)->Arg(8);

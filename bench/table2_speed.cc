@@ -107,7 +107,7 @@ intraLayerRate(const workload::Layer& layer, int mappings, int threads,
     engine::Arch arch = macros::baseMacro();
     Clock::time_point start = Clock::now();
     engine::SearchResult sr = engine::searchMappings(
-        arch, layer, mappings, 7, engine::Objective::Energy, threads);
+        arch, layer, mappings, 7, {.threads = threads});
     double dt = seconds(start, Clock::now());
     if (out)
         *out = std::move(sr);

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Records a dated microbenchmark snapshot (BENCH_<date>.json) so perf
-# changes to the hot kernels (Pmf convolution, precompute, refsim) are
-# visible in review diffs — and enforced by scripts/bench_compare.sh.
+# changes to the hot kernels (Pmf convolution, precompute, refsim, the
+# mapping search) are visible in review diffs — and enforced by scripts/bench_compare.sh.
 # Run from anywhere; builds the bench target if needed. Override the
 # build tree with BUILD_DIR (default: build).
 #
@@ -12,7 +12,8 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${BUILD_DIR:-build}"
-FILTER="${FILTER:-Convolve|Precompute|RefSim|Gnorm|Arena|SliceMixture|Evaluate|Fault|Obs|Dse|BankConflict|CoSearch}"
+. scripts/bench_filter.sh
+FILTER="${FILTER:-${BENCH_DEFAULT_FILTER}}"
 OUT="${OUT:-BENCH_$(date +%Y-%m-%d).json}"
 
 if [ ! -x "${BUILD_DIR}/bench/microbench" ]; then

@@ -370,10 +370,8 @@ parseArgs(const std::vector<std::string>& args)
             CIM_FATAL("--mappings must be >= 1");
         if (opts.threads < 1)
             CIM_FATAL("--threads must be >= 1");
-        if (opts.objective != "energy" && opts.objective != "edp" &&
-            opts.objective != "delay") {
+        if (!engine::parseObjective(opts.objective))
             CIM_FATAL("--objective must be energy, edp, or delay");
-        }
     }
     return opts;
 }
@@ -437,16 +435,6 @@ buildWorkload(const CliOptions& opts)
     if (!opts.networkName.empty())
         return workload::networkByName(opts.networkName);
     return workload::networkFromFile(opts.workloadPath);
-}
-
-engine::Objective
-objectiveFromString(const std::string& s)
-{
-    if (s == "edp")
-        return engine::Objective::Edp;
-    if (s == "delay")
-        return engine::Objective::Delay;
-    return engine::Objective::Energy;
 }
 
 int
@@ -762,6 +750,11 @@ runParsed(const CliOptions& opts, const CancelToken& token,
                 << layout::enumerateLayouts(arch.hierarchy).size()
                 << " candidates per layer\n";
         }
+        const engine::EvalOptions eval_opts{
+            .objective = engine::parseObjective(opts.objective).value(),
+            .threads = opts.threads,
+            .keepGoing = opts.keepGoing,
+            .cancel = &token};
         engine::NetworkEvaluation ev;
         if (!opts.mappingPath.empty()) {
             out << "replaying fixed mapping " << opts.mappingPath
@@ -793,10 +786,8 @@ runParsed(const CliOptions& opts, const CancelToken& token,
             out << "searching " << opts.mappings
                 << " mappings per layer (objective: " << opts.objective
                 << ", seed " << opts.seed << ")\n\n";
-            ev = engine::evaluateNetworkParallel(
-                arch, net, opts.threads, opts.mappings, opts.seed,
-                objectiveFromString(opts.objective), opts.keepGoing,
-                &token);
+            ev = engine::evaluateNetwork(arch, net, opts.mappings,
+                                         opts.seed, eval_opts);
         }
 
         if (!ev.complete()) {
@@ -827,11 +818,8 @@ runParsed(const CliOptions& opts, const CancelToken& token,
             // energy delta the fault model predicts.
             engine::Arch clean_arch = arch;
             clean_arch.faults = faults::FaultModel{};
-            engine::NetworkEvaluation clean =
-                engine::evaluateNetworkParallel(
-                    clean_arch, net, opts.threads, opts.mappings,
-                    opts.seed, objectiveFromString(opts.objective),
-                    opts.keepGoing, &token);
+            engine::NetworkEvaluation clean = engine::evaluateNetwork(
+                clean_arch, net, opts.mappings, opts.seed, eval_opts);
             char fl[160];
             out << "per-layer degradation vs fault-free baseline:\n";
             std::snprintf(fl, sizeof(fl), "%-24s %14s %14s %8s\n",

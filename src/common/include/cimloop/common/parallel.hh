@@ -76,6 +76,21 @@ parallelForAll(int threads, std::size_t n,
                const std::function<void(std::size_t)>& fn,
                const CancelToken* cancel = nullptr);
 
+/** How a two-level fan-out shares its threads (see splitThreads()). */
+struct ThreadSplit
+{
+    int outer = 1; //!< workers over the items
+    int inner = 1; //!< threads each item may use for its own fan-out
+};
+
+/**
+ * Splits @p threads over @p n items: items fan out first, and when
+ * there are fewer items than threads the leftover threads go to each
+ * item's inner fan-out instead of idling. Both parts are at least 1,
+ * also for n == 0 or threads < 1.
+ */
+ThreadSplit splitThreads(int threads, std::size_t n);
+
 } // namespace cimloop
 
 #endif // CIMLOOP_COMMON_PARALLEL_HH

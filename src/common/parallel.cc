@@ -179,6 +179,15 @@ parallelFor(int threads, std::size_t n,
     throw FatalError(combined);
 }
 
+ThreadSplit
+splitThreads(int threads, std::size_t n)
+{
+    threads = std::max(threads, 1);
+    const int outer = static_cast<int>(
+        std::clamp<std::size_t>(n, 1, static_cast<std::size_t>(threads)));
+    return {outer, threads / outer};
+}
+
 std::vector<WorkerError>
 parallelForAll(int threads, std::size_t n,
                const std::function<void(std::size_t)>& fn,

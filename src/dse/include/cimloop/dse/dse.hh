@@ -313,7 +313,7 @@ struct SweepOptions
     /**
      * Worker threads: points fan out first; when a chunk has fewer
      * points than threads the leftover threads split each point's
-     * per-layer/mapping work, exactly like evaluateNetworkParallel.
+     * per-layer/mapping work, exactly like engine::evaluateNetwork.
      * Results are bit-identical for any value.
      */
     int threads = 1;

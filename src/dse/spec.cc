@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -132,13 +133,9 @@ applyNumericField(SweepPoint& point, const std::string& field, double v)
 engine::Objective
 objectiveFromName(const std::string& name, const char* key)
 {
-    std::string n = toLower(name);
-    if (n == "energy")
-        return engine::Objective::Energy;
-    if (n == "edp")
-        return engine::Objective::Edp;
-    if (n == "delay")
-        return engine::Objective::Delay;
+    if (std::optional<engine::Objective> o =
+            engine::parseObjective(toLower(name)))
+        return *o;
     CIM_FATAL("unknown objective '", name, "' at ", key,
               " (expected energy, edp, or delay)");
 }

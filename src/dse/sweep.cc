@@ -169,9 +169,11 @@ evaluatePoint(const SweepSpec& spec,
         const workload::Network& net =
             networks.at(networkKey(pr.point));
         pr.engineTouched = true;
-        engine::NetworkEvaluation ev = engine::evaluateNetworkParallel(
-            arch, net, inner_threads, pr.point.mappings, pr.point.seed,
-            pr.point.objective, /*keep_going=*/true);
+        engine::NetworkEvaluation ev = engine::evaluateNetwork(
+            arch, net, pr.point.mappings, pr.point.seed,
+            {.objective = pr.point.objective,
+             .threads = inner_threads,
+             .keepGoing = true});
         if (!ev.complete()) {
             pr.status = PointStatus::Failed;
             pr.layerDiagnostics = ev.diagnostics;
@@ -415,6 +417,7 @@ runSweep(const SweepSpec& spec, const SweepOptions& opts)
         obs::counter("dse.chunks_resumed");
     static obs::Counter& c_resume_skip =
         obs::counter("dse.resume.points_skipped");
+    static obs::Counter& c_cancelled = obs::counter("dse.cancelled");
 
     spec.validate();
     CIM_SPAN("dse.sweep");
@@ -442,8 +445,6 @@ runSweep(const SweepSpec& spec, const SweepOptions& opts)
         journal.emplace(opts.resumeDir, specFingerprint(spec), n,
                         chunkSize, spec.name);
     }
-
-    const int threads = std::max(1, opts.threads);
 
     ParetoFront front(spec.paretoObjectives.size());
     std::map<std::size_t, PointResult> frontierPoints; // bounded mode
@@ -537,25 +538,20 @@ runSweep(const SweepSpec& spec, const SweepOptions& opts)
         if (opts.cancel.cancelled()) {
             result.stoppedEarly = true;
             result.cancelled = true;
-            static obs::Counter& c_cancelled =
-                obs::counter("dse.cancelled");
             c_cancelled.add();
             break;
         }
 
         // Points fan out first; leftover threads split each point's
-        // per-layer/mapping work (same policy as
-        // evaluateNetworkParallel).
+        // per-layer/mapping work.
         const std::size_t count = to - from;
-        const int outer =
-            static_cast<int>(std::min<std::size_t>(threads, count));
-        const int inner = std::max(1, threads / outer);
+        const ThreadSplit split = splitThreads(opts.threads, count);
         std::vector<PointResult> chunkResults(count);
         std::vector<WorkerError> errors =
-            parallelForAll(outer, count, [&](std::size_t j) {
+            parallelForAll(split.outer, count, [&](std::size_t j) {
                 PointResult& pr = chunkResults[j];
                 pr.point = materializePoint(spec, from + j);
-                evaluatePoint(spec, networks, inner, pr);
+                evaluatePoint(spec, networks, split.inner, pr);
             });
         // evaluatePoint() swallows everything, so only
         // materializePoint() can leak an exception here; record it as

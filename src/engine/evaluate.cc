@@ -495,6 +495,18 @@ evaluate(const Arch& arch, const PerActionTable& table,
     return ev;
 }
 
+std::optional<Objective>
+parseObjective(const std::string& name)
+{
+    if (name == "energy")
+        return Objective::Energy;
+    if (name == "edp")
+        return Objective::Edp;
+    if (name == "delay")
+        return Objective::Delay;
+    return std::nullopt;
+}
+
 namespace {
 
 double
@@ -518,27 +530,40 @@ objectiveValue(Objective obj, const Evaluation& ev)
  */
 constexpr int kSearchShards = 16;
 
-/** One shard's best under the (value, shard, sample) total order. */
-struct ShardOutcome
+/** Shards a @p num_mappings-sample search splits into. */
+int
+searchShards(int num_mappings)
 {
-    bool have = false;
-    double value = 0.0;
-    mapping::Mapping best;
-    Evaluation eval;
+    return std::min(kSearchShards, std::max(num_mappings, 0));
+}
+
+/** Sample accounting of one shard. */
+struct ShardCounts
+{
     int evaluated = 0;
     int invalid = 0;
     int rejected = 0;
     bool exhausted = false;
 };
 
-ShardOutcome
-runSearchShard(const Arch& arch, const PerActionTable& table,
-               const mapping::Mapper& mapper, Objective objective,
-               std::uint64_t seed, int shard, int budget,
-               const layout::ResolvedLayout* layout,
-               const CancelToken* cancel)
+/**
+ * Draws shard @p shard's share of a @p num_mappings-sample search from
+ * its own stream, Rng::forStream(seed, shard), evaluates each sample,
+ * and hands every valid one to visit(mapping, evaluation) in draw order.
+ * searchMappings and paretoFrontier both sample here, so for one seed
+ * the frontier explores exactly the sample set the search ranks.
+ */
+template <typename Visit>
+ShardCounts
+sampleShard(const Arch& arch, const PerActionTable& table,
+            const mapping::Mapper& mapper, std::uint64_t seed, int shard,
+            int num_mappings, const layout::ResolvedLayout* layout,
+            const CancelToken* cancel, Visit&& visit)
 {
-    ShardOutcome out;
+    const int shards = searchShards(num_mappings);
+    const int budget =
+        num_mappings / shards + (shard < num_mappings % shards ? 1 : 0);
+    ShardCounts counts;
     Rng rng = Rng::forStream(seed, static_cast<std::uint64_t>(shard));
     for (int i = 0; i < budget; ++i) {
         // Poll between samples, not mid-evaluation. The shard just stops
@@ -547,37 +572,41 @@ runSearchShard(const Arch& arch, const PerActionTable& table,
         // best computed from a truncated sample set.
         if (cancel && cancel->cancelled())
             break;
-        std::optional<mapping::Mapping> m = mapper.next(rng, out.rejected);
+        std::optional<mapping::Mapping> m =
+            mapper.next(rng, counts.rejected);
         if (!m) {
-            out.exhausted = true;
+            counts.exhausted = true;
             break;
         }
         Evaluation ev = evaluate(arch, table, *m, layout);
         if (!ev.valid) {
-            ++out.invalid;
+            ++counts.invalid;
             continue;
         }
-        ++out.evaluated;
-        double value = objectiveValue(objective, ev);
-        // Strict < keeps the lowest sample index among equal values.
-        if (!out.have || value < out.value) {
-            out.have = true;
-            out.value = value;
-            out.eval = std::move(ev);
-            out.best = std::move(*m);
-        }
+        ++counts.evaluated;
+        visit(*m, ev);
     }
-    return out;
+    return counts;
 }
+
+/** One shard's best under the (value, shard, sample) total order. */
+struct ShardOutcome
+{
+    ShardCounts counts;
+    bool have = false;
+    double value = 0.0;
+    mapping::Mapping best;
+    Evaluation eval;
+};
 
 } // namespace
 
 SearchResult
 searchMappings(const Arch& arch, const workload::Layer& layer,
-               int num_mappings, std::uint64_t seed, Objective objective,
-               int threads, const CancelToken* cancel)
+               int num_mappings, std::uint64_t seed, const EvalOptions& opts)
 {
     CIM_SPAN("engine.search_layer");
+    const CancelToken* cancel = opts.cancel;
     if (cancel)
         cancel->throwIfCancelled("mapping search for layer '" + layer.name +
                                  "'");
@@ -610,7 +639,7 @@ searchMappings(const Arch& arch, const workload::Layer& layer,
     std::size_t best_layout = 0;
 
     const std::size_t num_layouts = candidates.size();
-    const int shards = std::min(kSearchShards, std::max(num_mappings, 0));
+    const int shards = searchShards(num_mappings);
 
     // One work unit per (layout, shard). Each shard re-draws the SAME
     // Rng stream (seed, shard) for every layout candidate, so every
@@ -620,17 +649,26 @@ searchMappings(const Arch& arch, const workload::Layer& layer,
     // bit-identical for any thread count.
     std::vector<ShardOutcome> outcomes(num_layouts *
                                        static_cast<std::size_t>(shards));
-    parallelFor(threads, outcomes.size(),
+    parallelFor(opts.threads, outcomes.size(),
                 [&](std::size_t u) {
                     std::size_t l = u / static_cast<std::size_t>(shards);
                     int shard = static_cast<int>(
                         u % static_cast<std::size_t>(shards));
-                    int budget = num_mappings / shards +
-                                 (shard < num_mappings % shards ? 1 : 0);
-                    outcomes[u] = runSearchShard(arch, *table, mapper,
-                                                 objective, seed, shard,
-                                                 budget, layout_of(l),
-                                                 cancel);
+                    ShardOutcome& out = outcomes[u];
+                    out.counts = sampleShard(
+                        arch, *table, mapper, seed, shard, num_mappings,
+                        layout_of(l), cancel,
+                        [&](mapping::Mapping& m, Evaluation& ev) {
+                            double value = objectiveValue(opts.objective, ev);
+                            // Strict < keeps the lowest sample index
+                            // among equal values.
+                            if (!out.have || value < out.value) {
+                                out.have = true;
+                                out.value = value;
+                                out.eval = std::move(ev);
+                                out.best = std::move(m);
+                            }
+                        });
                 },
                 cancel);
 
@@ -651,7 +689,7 @@ searchMappings(const Arch& arch, const workload::Layer& layer,
         Evaluation ev = evaluate(arch, *table, greedy, layout_of(l));
         if (ev.valid) {
             ++result.evaluated;
-            double value = objectiveValue(objective, ev);
+            double value = objectiveValue(opts.objective, ev);
             if (!have_best || value < best_value) {
                 have_best = true;
                 best_value = value;
@@ -666,10 +704,10 @@ searchMappings(const Arch& arch, const workload::Layer& layer,
             ShardOutcome& out =
                 outcomes[l * static_cast<std::size_t>(shards) +
                          static_cast<std::size_t>(s)];
-            result.evaluated += out.evaluated;
-            result.invalid += out.invalid;
-            result.rejected += out.rejected;
-            result.exhausted += out.exhausted ? 1 : 0;
+            result.evaluated += out.counts.evaluated;
+            result.invalid += out.counts.invalid;
+            result.rejected += out.counts.rejected;
+            result.exhausted += out.counts.exhausted ? 1 : 0;
             if (out.have && (!have_best || out.value < best_value)) {
                 have_best = true;
                 best_value = out.value;
@@ -691,21 +729,17 @@ searchMappings(const Arch& arch, const workload::Layer& layer,
     static obs::Counter& c_rej = obs::counter("mapping.search.rejected");
     static obs::Counter& c_exh =
         obs::counter("mapping.search.exhausted_shards");
+    static obs::Counter& c_layouts =
+        obs::counter("mapping.layouts_evaluated");
+    static obs::Counter& c_conflict =
+        obs::counter("engine.bank_conflict_cycles");
     c_eval.add(static_cast<std::uint64_t>(result.evaluated));
     c_invalid.add(static_cast<std::uint64_t>(result.invalid));
     c_rej.add(static_cast<std::uint64_t>(result.rejected));
     c_exh.add(static_cast<std::uint64_t>(result.exhausted));
-    // The layout counters register lazily, like engine.cancelled_layers:
-    // layout-free runs keep their golden-pinned counter set byte-for-byte.
-    if (layouts_active) {
-        static obs::Counter& c_layouts =
-            obs::counter("mapping.layouts_evaluated");
-        static obs::Counter& c_conflict =
-            obs::counter("engine.bank_conflict_cycles");
-        c_layouts.add(static_cast<std::uint64_t>(num_layouts));
-        c_conflict.add(static_cast<std::uint64_t>(std::llround(
-            std::max(result.best.bankConflictCycles, 0.0))));
-    }
+    c_layouts.add(static_cast<std::uint64_t>(result.layoutsEvaluated));
+    c_conflict.add(static_cast<std::uint64_t>(
+        std::llround(std::max(result.best.bankConflictCycles, 0.0))));
 
     if (result.exhausted > 0) {
         warn("mapping search for layer '", layer.name, "' on arch '",
@@ -763,6 +797,8 @@ accumulateNetwork(const workload::Network& network,
 {
     static obs::Counter& c_ok = obs::counter("engine.layers.evaluated");
     static obs::Counter& c_failed = obs::counter("engine.layers.failed");
+    static obs::Counter& c_cancelled =
+        obs::counter("engine.cancelled_layers");
     NetworkEvaluation net;
     net.layers.reserve(results.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -777,18 +813,12 @@ accumulateNetwork(const workload::Network& network,
         net.layers.push_back(std::move(results[i]));
     }
     // Cancelled layers are not failures: they would have succeeded given
-    // time. Counting them apart keeps engine.layers.failed meaningful,
-    // and the cancelled counter registers lazily so it never appears in
-    // the (golden-pinned) counter set of uncancelled runs.
+    // time. Counting them apart keeps engine.layers.failed meaningful.
     std::size_t cancelled = 0;
     for (const LayerDiagnostic& d : diagnostics)
         cancelled += d.kind == "cancelled" ? 1 : 0;
     c_failed.add(diagnostics.size() - cancelled);
-    if (cancelled > 0) {
-        static obs::Counter& c_cancelled =
-            obs::counter("engine.cancelled_layers");
-        c_cancelled.add(cancelled);
-    }
+    c_cancelled.add(cancelled);
     net.diagnostics = std::move(diagnostics);
     // Library users get the run's metrics without going through the CLI.
     net.metrics = obs::snapshot();
@@ -800,91 +830,44 @@ accumulateNetwork(const workload::Network& network,
 NetworkEvaluation
 evaluateNetwork(const Arch& arch, const workload::Network& network,
                 int mappings_per_layer, std::uint64_t seed,
-                Objective objective, bool keep_going,
-                const CancelToken* cancel)
+                const EvalOptions& opts)
 {
     CIM_SPAN("engine.evaluate_network");
-    std::vector<SearchResult> results(network.layers.size());
-    std::vector<LayerDiagnostic> diagnostics;
-    for (std::size_t i = 0; i < network.layers.size(); ++i) {
-        const workload::Layer& layer = network.layers[i];
-        // The layer boundary is where cancellation acts: layers already
-        // searched keep their byte-identical results; this layer and the
-        // rest are abandoned whole.
-        if (cancel && cancel->cancelled()) {
-            if (!keep_going)
-                cancel->throwIfCancelled("network evaluation at layer '" +
-                                         layer.name + "'");
-            for (std::size_t j = i; j < network.layers.size(); ++j) {
-                diagnostics.push_back(classifyLayerError(
-                    j, network.layers[j],
-                    std::make_exception_ptr(CancelledError(
-                        cancel->reason(),
-                        "layer '" + network.layers[j].name + "'"))));
-            }
-            break;
-        }
-        if (!keep_going) {
-            results[i] = searchMappings(arch, layer, mappings_per_layer,
-                                        seed + layer.index, objective, 1,
-                                        cancel);
-            continue;
-        }
-        try {
-            results[i] = searchMappings(arch, layer, mappings_per_layer,
-                                        seed + layer.index, objective, 1,
-                                        cancel);
-        } catch (...) {
-            diagnostics.push_back(classifyLayerError(
-                i, layer, std::current_exception()));
-        }
-    }
-    return accumulateNetwork(network, std::move(results),
-                             std::move(diagnostics));
-}
-
-NetworkEvaluation
-evaluateNetworkParallel(const Arch& arch, const workload::Network& network,
-                        int threads, int mappings_per_layer,
-                        std::uint64_t seed, Objective objective,
-                        bool keep_going, const CancelToken* cancel)
-{
-    if (threads <= 1 || network.layers.empty())
-        return evaluateNetwork(arch, network, mappings_per_layer, seed,
-                               objective, keep_going, cancel);
-
-    // Layers fan out first; when the network has fewer distinct layers
-    // than threads (one repeated transformer block, say), the leftover
-    // threads split each layer's sample budget instead of idling.
     const std::size_t n = network.layers.size();
-    const int outer = static_cast<int>(
-        std::min<std::size_t>(static_cast<std::size_t>(threads), n));
-    const int inner = std::max(1, threads / outer);
+    const ThreadSplit split = splitThreads(opts.threads, n);
+    EvalOptions layer_opts = opts;
+    layer_opts.threads = split.inner;
 
     std::vector<SearchResult> results(n);
     auto work = [&](std::size_t i) {
         const workload::Layer& layer = network.layers[i];
+        // The layer boundary is where cancellation acts: layers already
+        // searched keep their byte-identical results; this layer and the
+        // rest are abandoned whole. The pool gets no token of its own,
+        // so every unreached layer reports itself by name.
+        if (opts.cancel && opts.cancel->cancelled()) {
+            throw CancelledError(opts.cancel->reason(),
+                                 (opts.keepGoing
+                                      ? "layer '"
+                                      : "network evaluation at layer '") +
+                                     layer.name + "'");
+        }
         results[i] = searchMappings(arch, layer, mappings_per_layer,
-                                    seed + layer.index, objective, inner,
-                                    cancel);
+                                    seed + layer.index, layer_opts);
     };
 
     std::vector<LayerDiagnostic> diagnostics;
-    if (keep_going) {
+    if (opts.keepGoing) {
         // Every layer runs regardless of failures; each failure becomes
-        // a diagnostic on the result instead of an exception. A fired
-        // cancel token makes the unrun layers come back as CancelledError
-        // worker errors, which classify as kind-"cancelled" diagnostics.
-        for (const WorkerError& we : parallelForAll(outer, n, work, cancel)) {
+        // a diagnostic on the result instead of an exception.
+        for (const WorkerError& we : parallelForAll(split.outer, n, work)) {
             diagnostics.push_back(classifyLayerError(
                 we.index, network.layers[we.index], we.error));
         }
     } else {
-        // parallelFor aggregates the captured worker exceptions and
-        // rethrows after joining, so unmappable layers surface as the
-        // same FatalError surface the serial path gives instead of
-        // std::terminate.
-        parallelFor(outer, n, work, cancel);
+        // parallelFor rethrows the captured failure (several concurrent
+        // ones aggregated) after joining, instead of std::terminate.
+        parallelFor(split.outer, n, work);
     }
 
     return accumulateNetwork(network, std::move(results),
@@ -934,29 +917,23 @@ paretoFrontier(const Arch& arch, const workload::Layer& layer,
 {
     std::shared_ptr<const PerActionTable> table =
         cachedPrecompute(arch, layer);
-    mapping::Mapper mapper(arch.hierarchy, table->extLayer, {.seed = seed});
+    const mapping::Mapper mapper(arch.hierarchy, table->extLayer,
+                                 {.seed = seed});
+    const layout::ResolvedLayout resolved =
+        layout::resolveLayout(arch.hierarchy, arch.layout);
+    const layout::ResolvedLayout* layout = resolved.any ? &resolved : nullptr;
 
     std::vector<ParetoPoint> points;
-    auto consider = [&](const mapping::Mapping& m) {
-        Evaluation ev = evaluate(arch, *table, m);
-        if (ev.valid)
-            points.push_back({m, std::move(ev)});
+    auto keep = [&](mapping::Mapping& m, Evaluation& ev) {
+        points.push_back({std::move(m), std::move(ev)});
     };
-    consider(mapper.greedy());
-    // Same shard-stream decomposition as searchMappings, so for one seed
-    // the frontier explores exactly the sample set the search ranks.
-    const int shards = std::min(kSearchShards, std::max(num_mappings, 0));
-    for (int shard = 0; shard < shards; ++shard) {
-        int budget = num_mappings / shards +
-                     (shard < num_mappings % shards ? 1 : 0);
-        Rng rng = Rng::forStream(seed, static_cast<std::uint64_t>(shard));
-        int rejected = 0;
-        for (int i = 0; i < budget; ++i) {
-            std::optional<mapping::Mapping> m = mapper.next(rng, rejected);
-            if (!m)
-                break;
-            consider(*m);
-        }
+    mapping::Mapping greedy = mapper.greedy();
+    Evaluation greedy_ev = evaluate(arch, *table, greedy, layout);
+    if (greedy_ev.valid)
+        keep(greedy, greedy_ev);
+    for (int shard = 0; shard < searchShards(num_mappings); ++shard) {
+        sampleShard(arch, *table, mapper, seed, shard, num_mappings, layout,
+                    nullptr, keep);
     }
     if (points.empty())
         CIM_FATAL("no valid mapping found for layer '", layer.name,

@@ -183,6 +183,29 @@ Evaluation evaluate(const Arch& arch, const PerActionTable& table,
 /** Search objective. */
 enum class Objective { Energy, Edp, Delay };
 
+/**
+ * Parses an objective name: exactly "energy", "edp" or "delay". Returns
+ * nullopt for anything else, so each caller reports a bad name in its
+ * own terms (a CLI flag, a sweep-spec key).
+ */
+std::optional<Objective> parseObjective(const std::string& name);
+
+/** How searchMappings() and evaluateNetwork() run. */
+struct EvalOptions
+{
+    Objective objective = Objective::Energy; //!< what the search minimizes
+
+    /** Worker threads. Results are bit-identical for any count. */
+    int threads = 1;
+
+    /** evaluateNetwork() only: record failing layers as diagnostics
+     *  and keep evaluating the rest instead of throwing. */
+    bool keepGoing = false;
+
+    /** Polled between samples and between layers (nullptr = never). */
+    const CancelToken* cancel = nullptr;
+};
+
 /** Outcome of a mapping search for one layer. */
 struct SearchResult
 {
@@ -205,14 +228,14 @@ struct SearchResult
 
 /**
  * Searches @p num_mappings random mappings (plus the greedy heuristic)
- * and returns the best under @p objective. Fatal when no valid mapping is
- * found at all.
+ * and returns the best under @p opts.objective. Fatal when no valid
+ * mapping is found at all.
  *
  * The sample budget is split over a fixed set of shards, each drawing
  * from its own counter-derived RNG stream (Rng::forStream(seed, shard)),
  * and shard-local bests merge under the total order (objective value,
  * shard, sample index) with the greedy heuristic ordered before every
- * shard. Shards run on up to @p threads workers; because the shard
+ * shard. Shards run on up to @p opts.threads workers; because the shard
  * decomposition and the merge order are independent of scheduling, the
  * returned best mapping, objective value, and sample counters are
  * bit-identical for any thread count, including 1.
@@ -224,17 +247,15 @@ struct SearchResult
  * shard, sample) — still bit-identical at any thread count. A fixed
  * arch.layout is the one-candidate special case.
  *
- * With a @p cancel token, shards poll it between samples. A search is
+ * With a cancel token, shards poll it between samples. A search is
  * all-or-nothing: a token that fires mid-search abandons the whole
  * search with CancelledError rather than returning a best from fewer
  * samples — a partial search result would not be byte-identical to an
- * uninterrupted run's.
+ * uninterrupted run's. opts.keepGoing does not apply to one layer.
  */
 SearchResult searchMappings(const Arch& arch, const workload::Layer& layer,
                             int num_mappings, std::uint64_t seed = 1,
-                            Objective objective = Objective::Energy,
-                            int threads = 1,
-                            const CancelToken* cancel = nullptr);
+                            const EvalOptions& opts = {});
 
 /**
  * One captured per-layer failure from a keep-going network evaluation:
@@ -283,46 +304,34 @@ struct NetworkEvaluation
 };
 
 /**
- * Runs searchMappings for every layer of @p network.
+ * Runs searchMappings for every layer of @p network (layer i with seed
+ * `seed + layer.index`) and folds the bests into network totals.
  *
- * With @p keep_going, a layer whose search fails (unmappable layer, bad
- * spec, internal bug) is captured as a LayerDiagnostic and evaluation
- * continues with the remaining layers — the production-sweep behavior
- * where one broken layer must not abort a large design-space run.
- * Without it, the first failure propagates as before.
+ * Layers fan out over @p opts.threads workers first; when the network
+ * has fewer layers than threads (one repeated transformer block, say),
+ * the leftover threads split each layer's sample budget through the
+ * sharded search. Results, counters and keep-going diagnostics are
+ * bit-identical for any thread count.
  *
- * With a @p cancel token, the layer loop polls it between layers —
+ * With opts.keepGoing, a layer whose search fails (unmappable layer,
+ * bad spec, internal bug) is captured as a LayerDiagnostic and every
+ * remaining layer still runs — the production-sweep behavior where one
+ * broken layer must not abort a large design-space run. Without it, the
+ * failure propagates; when several layers fail concurrently, the thrown
+ * error lists each of them.
+ *
+ * With a cancel token, each layer polls it before its search starts —
  * layers already searched keep their byte-identical results. A fired
- * token throws CancelledError; under keep_going the remaining layers
- * are instead recorded as kind-"cancelled" diagnostics and the totals
- * fold only the completed layers.
+ * token throws CancelledError ("network evaluation at layer 'X'
+ * cancelled (...)"); under keepGoing every unreached layer is instead
+ * recorded as a kind-"cancelled" diagnostic ("layer 'X' cancelled
+ * (...)") and the totals fold only the completed layers.
  */
 NetworkEvaluation evaluateNetwork(const Arch& arch,
                                   const workload::Network& network,
                                   int mappings_per_layer = 200,
                                   std::uint64_t seed = 1,
-                                  Objective objective = Objective::Energy,
-                                  bool keep_going = false,
-                                  const CancelToken* cancel = nullptr);
-
-/**
- * Same as evaluateNetwork but distributes the work over @p threads worker
- * threads: layers fan out first (independent searches), and when the
- * network has fewer distinct layers than threads (e.g. one repeated
- * transformer block), the leftover threads split each layer's sample
- * budget via the sharded intra-layer search. Results are bit-identical to
- * the sequential version for the same seed. threads <= 1 falls through to
- * evaluateNetwork. A worker that hits an unmappable layer does not
- * terminate the process: without @p keep_going every captured worker
- * exception is aggregated and rethrown (the same FatalError surface the
- * serial path gives, now listing every failing layer); with it, failures
- * become per-layer diagnostics and every remaining layer still runs.
- */
-NetworkEvaluation evaluateNetworkParallel(
-    const Arch& arch, const workload::Network& network, int threads,
-    int mappings_per_layer = 200, std::uint64_t seed = 1,
-    Objective objective = Objective::Energy, bool keep_going = false,
-    const CancelToken* cancel = nullptr);
+                                  const EvalOptions& opts = {});
 
 /**
  * Renders a per-node report of one evaluation: energy share, accesses
@@ -338,10 +347,11 @@ struct ParetoPoint
 };
 
 /**
- * Samples @p num_mappings mappings (plus the greedy heuristic) and
- * returns the energy/latency Pareto frontier, sorted by ascending
- * energy (therefore descending latency). Design-space explorations use
- * this to expose the trade space rather than a single optimum.
+ * Samples @p num_mappings mappings (plus the greedy heuristic) — the
+ * sample set searchMappings() ranks for the same seed — and returns the
+ * energy/latency Pareto frontier, sorted by ascending energy (therefore
+ * descending latency). Design-space explorations use this to expose the
+ * trade space rather than a single optimum.
  */
 std::vector<ParetoPoint> paretoFrontier(const Arch& arch,
                                         const workload::Layer& layer,

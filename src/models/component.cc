@@ -57,11 +57,12 @@ PluginRegistry&
 PluginRegistry::instance()
 {
     static PluginRegistry registry;
-    static bool initialized = false;
-    if (!initialized) {
-        initialized = true;
-        registerBuiltinModels(registry);
-    }
+    // A static initializer runs once, and concurrent first callers (the
+    // workers of a threaded sweep) wait for it: none sees the registry
+    // before the built-ins are in.
+    static const bool initialized =
+        (registerBuiltinModels(registry), true);
+    (void)initialized;
     return registry;
 }
 

@@ -512,17 +512,20 @@ TEST(Parse, ObservabilityFlags)
 
 TEST(Run, MetricsSummaryTableOnStdout)
 {
-    std::ostringstream out, err;
-    int rc = run({"--macro", "base", "--network", "mvm", "--mappings",
-                  "15", "--metrics"},
-                 out, err);
-    ASSERT_EQ(rc, 0) << err.str();
-    std::string text = out.str();
-    EXPECT_NE(text.find("counter"), std::string::npos);
-    EXPECT_NE(text.find("mapping.search.evaluated"), std::string::npos);
-    EXPECT_NE(text.find("engine.layers.evaluated"), std::string::npos);
-    // --metrics arms span timing, so the table has a span section too.
-    EXPECT_NE(text.find("engine.evaluate_network"), std::string::npos);
+    for (const char* threads : {"1", "4"}) {
+        SCOPED_TRACE(threads);
+        std::ostringstream out, err;
+        int rc = run({"--macro", "base", "--network", "mvm", "--mappings",
+                      "15", "--threads", threads, "--metrics"},
+                     out, err);
+        ASSERT_EQ(rc, 0) << err.str();
+        std::string text = out.str();
+        EXPECT_NE(text.find("counter"), std::string::npos);
+        EXPECT_NE(text.find("mapping.search.evaluated"), std::string::npos);
+        EXPECT_NE(text.find("engine.layers.evaluated"), std::string::npos);
+        // --metrics arms span timing, so the table has a span section too.
+        EXPECT_NE(text.find("engine.evaluate_network"), std::string::npos);
+    }
 }
 
 TEST(Run, MetricsFileContainsCountersAndSpans)

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cimloop/common/error.hh"
@@ -41,10 +42,26 @@ TEST(ParallelFor, ZeroItemsIsANoop)
     parallelFor(4, 0, [](std::size_t) { FAIL() << "must not be called"; });
 }
 
+TEST(ParallelFor, SplitThreadsFansItemsOutFirst)
+{
+    auto split = [](int threads, std::size_t n) {
+        ThreadSplit s = splitThreads(threads, n);
+        return std::make_pair(s.outer, s.inner);
+    };
+    EXPECT_EQ(split(8, 20), std::make_pair(8, 1));
+    EXPECT_EQ(split(8, 4), std::make_pair(4, 2));
+    EXPECT_EQ(split(8, 3), std::make_pair(3, 2));
+    EXPECT_EQ(split(8, 1), std::make_pair(1, 8));
+    EXPECT_EQ(split(1, 5), std::make_pair(1, 1));
+    // No items, or no threads asked for, still leaves one of each.
+    EXPECT_EQ(split(8, 0), std::make_pair(1, 8));
+    EXPECT_EQ(split(0, 5), std::make_pair(1, 1));
+}
+
 TEST(ParallelFor, RethrowsWorkerExceptionAfterJoin)
 {
-    // Before evaluateNetworkParallel used this, an exception inside a
-    // worker lambda escaped std::thread and terminated the process.
+    // An exception inside a worker lambda must not escape std::thread
+    // (which would terminate the process); it is rethrown on the caller.
     auto boom = [](std::size_t i) {
         if (i == 3)
             CIM_FATAL("worker failure on item ", i);

@@ -29,7 +29,7 @@ TEST(DseSweep, CrossCheckMatchesHandRolledLoop)
 {
     // The fig-2b-style grid: array size x DAC resolution with the
     // scaled-ADC rule. Every point must reproduce the pJ/MAC a
-    // standalone evaluateNetworkParallel() call computes for the same
+    // standalone evaluateNetwork() call computes for the same
     // design — the sweep is a refactor of the nested loops, not an
     // approximation of them.
     SweepSpec spec;
@@ -56,9 +56,8 @@ TEST(DseSweep, CrossCheckMatchesHandRolledLoop)
                         std::max(0, dac - 3);
             engine::Arch arch = macros::macroByName("base", p);
             engine::NetworkEvaluation ev =
-                engine::evaluateNetworkParallel(
-                    arch, net, 1, spec.mappings, spec.seed,
-                    engine::Objective::Energy);
+                engine::evaluateNetwork(arch, net, spec.mappings,
+                                        spec.seed);
             const PointResult& pr = result.points[i++];
             ASSERT_EQ(pr.status, PointStatus::Ok)
                 << pr.point.label(spec) << ": " << pr.statusDetail;
@@ -768,11 +767,9 @@ TEST(DseSweepCancel, CancelledResumedSweepIsByteIdentical)
 
 TEST(DseSweepCancel, UncancelledSweepNeverBumpsTheCancelCounter)
 {
-    // dse.cancelled registers lazily on the first actual cancellation
-    // (so normal runs don't grow the golden-pinned counter set — the
-    // metrics_regress goldens enforce the absence in a fresh process).
-    // Here, where earlier tests already registered it, assert it stays
-    // zero across an uncancelled sweep.
+    // dse.cancelled is registered with the other dse counters, so it is
+    // always in the snapshot; an uncancelled sweep must leave it at zero
+    // (and the exporters, which skip zero counters, never print it).
     SweepSpec spec = cancelSpec();
     obs::resetAll();
     SweepResult result = runSweep(spec);

@@ -31,8 +31,7 @@ TEST(CancelSearch, PreCancelledTokenThrowsBeforeAnyWork)
     CancelToken token;
     token.cancel();
     try {
-        searchMappings(arch, net.layers[0], 50, 1, Objective::Energy, 1,
-                       &token);
+        searchMappings(arch, net.layers[0], 50, 1, {.cancel = &token});
         FAIL() << "expected CancelledError";
     } catch (const CancelledError& e) {
         EXPECT_EQ(e.reason(), CancelReason::User);
@@ -47,8 +46,8 @@ TEST(CancelSearch, NullAndFreshTokensMatchBaselineBitExactly)
     workload::Network net = smallNetwork();
     SearchResult base = searchMappings(arch, net.layers[0], 60, 7);
     CancelToken fresh;
-    SearchResult with = searchMappings(arch, net.layers[0], 60, 7,
-                                       Objective::Energy, 1, &fresh);
+    SearchResult with =
+        searchMappings(arch, net.layers[0], 60, 7, {.cancel = &fresh});
     EXPECT_DOUBLE_EQ(with.best.energyPj, base.best.energyPj);
     EXPECT_EQ(with.evaluated, base.evaluated);
     EXPECT_TRUE(with.bestMapping == base.bestMapping);
@@ -60,12 +59,12 @@ TEST(CancelNetwork, StrictModeThrowsCancelledError)
     workload::Network net = smallNetwork();
     CancelToken token;
     token.cancel(CancelReason::User);
-    EXPECT_THROW(evaluateNetwork(arch, net, 40, 1, Objective::Energy,
-                                 false, &token),
-                 CancelledError);
-    EXPECT_THROW(evaluateNetworkParallel(arch, net, 4, 40, 1,
-                                         Objective::Energy, false, &token),
-                 CancelledError);
+    for (int threads : {1, 4}) {
+        EXPECT_THROW(evaluateNetwork(arch, net, 40, 1,
+                                     {.threads = threads, .cancel = &token}),
+                     CancelledError)
+            << threads << " threads";
+    }
 }
 
 TEST(CancelNetwork, KeepGoingReportsCancelledDiagnostics)
@@ -74,8 +73,8 @@ TEST(CancelNetwork, KeepGoingReportsCancelledDiagnostics)
     workload::Network net = smallNetwork();
     CancelToken token;
     token.cancel(CancelReason::User);
-    NetworkEvaluation ev = evaluateNetwork(arch, net, 40, 1,
-                                           Objective::Energy, true, &token);
+    NetworkEvaluation ev = evaluateNetwork(
+        arch, net, 40, 1, {.keepGoing = true, .cancel = &token});
     ASSERT_EQ(ev.diagnostics.size(), net.layers.size());
     for (std::size_t i = 0; i < ev.diagnostics.size(); ++i) {
         EXPECT_EQ(ev.diagnostics[i].layerIndex, i);
@@ -90,8 +89,9 @@ TEST(CancelNetwork, KeepGoingParallelReportsCancelledDiagnostics)
     workload::Network net = smallNetwork();
     CancelToken token;
     token.cancel(CancelReason::Deadline);
-    NetworkEvaluation ev = evaluateNetworkParallel(
-        arch, net, 4, 40, 1, Objective::Energy, true, &token);
+    NetworkEvaluation ev = evaluateNetwork(
+        arch, net, 40, 1,
+        {.threads = 4, .keepGoing = true, .cancel = &token});
     ASSERT_EQ(ev.diagnostics.size(), net.layers.size());
     for (std::size_t i = 0; i < ev.diagnostics.size(); ++i) {
         EXPECT_EQ(ev.diagnostics[i].layerIndex, i);
@@ -109,7 +109,7 @@ TEST(CancelNetwork, CompletedLayersKeepByteIdenticalResults)
     Arch arch = macros::baseMacro();
     workload::Network net = smallNetwork();
     NetworkEvaluation base =
-        evaluateNetwork(arch, net, 40, 7, Objective::Energy, true);
+        evaluateNetwork(arch, net, 40, 7, {.keepGoing = true});
 
     CancelToken token;
     int searched = 0;
@@ -122,7 +122,7 @@ TEST(CancelNetwork, CompletedLayersKeepByteIdenticalResults)
             break;
         partial.layers[i] = searchMappings(arch, net.layers[i], 40,
                                            7 + net.layers[i].index,
-                                           Objective::Energy, 1, &token);
+                                           {.cancel = &token});
         if (++searched == 1)
             token.cancel();
     }
@@ -131,6 +131,37 @@ TEST(CancelNetwork, CompletedLayersKeepByteIdenticalResults)
                      base.layers[0].best.energyPj);
     EXPECT_TRUE(partial.layers[0].bestMapping ==
                 base.layers[0].bestMapping);
+}
+
+TEST(CancelNetwork, SameTextAtEveryThreadCount)
+{
+    // The strict error and the keep-going diagnostics name the layer the
+    // token stopped, in the same words at every thread count.
+    Arch arch = macros::baseMacro();
+    workload::Network net = smallNetwork();
+    CancelToken token;
+    token.cancel(CancelReason::User);
+    for (int threads : {1, 4}) {
+        SCOPED_TRACE(threads);
+        try {
+            evaluateNetwork(arch, net, 40, 1,
+                            {.threads = threads, .cancel = &token});
+            ADD_FAILURE() << "expected CancelledError";
+        } catch (const CancelledError& e) {
+            EXPECT_EQ(std::string(e.what()),
+                      "network evaluation at layer '" + net.layers[0].name +
+                          "' cancelled (user)");
+        }
+        NetworkEvaluation ev = evaluateNetwork(
+            arch, net, 40, 1,
+            {.threads = threads, .keepGoing = true, .cancel = &token});
+        ASSERT_EQ(ev.diagnostics.size(), net.layers.size());
+        for (std::size_t i = 0; i < net.layers.size(); ++i) {
+            EXPECT_EQ(ev.diagnostics[i].message,
+                      "layer '" + net.layers[i].name +
+                          "' cancelled (user)");
+        }
+    }
 }
 
 TEST(CancelRefsim, PreCancelledTokenAbandonsTheLayer)

@@ -123,9 +123,9 @@ TEST(Search, ObjectivesDiffer)
     Arch arch = baseMacro();
     workload::Layer layer = workload::resnet18().layers[3];
     SearchResult energy = searchMappings(arch, layer, 80, 5,
-                                         Objective::Energy);
+                                         {.objective = Objective::Energy});
     SearchResult delay = searchMappings(arch, layer, 80, 5,
-                                        Objective::Delay);
+                                        {.objective = Objective::Delay});
     EXPECT_LE(energy.best.energyPj, delay.best.energyPj * (1 + 1e-9));
     EXPECT_LE(delay.best.latencyNs, energy.best.latencyNs * (1 + 1e-9));
 }

@@ -73,7 +73,7 @@ TEST(KeepGoing, CapturesFailingLayerAndContinues)
     // ...with it, both good layers evaluate and the bad one becomes a
     // structured diagnostic instead.
     NetworkEvaluation ev =
-        evaluateNetwork(arch, net, 50, 1, Objective::Energy, true);
+        evaluateNetwork(arch, net, 50, 1, {.keepGoing = true});
     EXPECT_FALSE(ev.complete());
     ASSERT_EQ(ev.diagnostics.size(), 1u);
     EXPECT_EQ(ev.diagnostics[0].layerIndex, 1u);
@@ -99,10 +99,10 @@ TEST(KeepGoing, ParallelMatchesSerial)
     Arch arch = unmappableArch();
     workload::Network net = mixedNetwork();
     NetworkEvaluation serial =
-        evaluateNetwork(arch, net, 50, 1, Objective::Energy, true);
+        evaluateNetwork(arch, net, 50, 1, {.keepGoing = true});
     for (int threads : {2, 8}) {
-        NetworkEvaluation parallel = evaluateNetworkParallel(
-            arch, net, threads, 50, 1, Objective::Energy, true);
+        NetworkEvaluation parallel = evaluateNetwork(
+            arch, net, 50, 1, {.threads = threads, .keepGoing = true});
         SCOPED_TRACE(threads);
         ASSERT_EQ(parallel.diagnostics.size(), serial.diagnostics.size());
         EXPECT_EQ(parallel.diagnostics[0].layer,
@@ -126,8 +126,8 @@ TEST(KeepGoing, AllLayersFailingStillCompletes)
         l.networkLayers = 3;
         net.layers.push_back(l);
     }
-    NetworkEvaluation ev = evaluateNetworkParallel(
-        arch, net, 4, 50, 1, Objective::Energy, true);
+    NetworkEvaluation ev =
+        evaluateNetwork(arch, net, 50, 1, {.threads = 4, .keepGoing = true});
     EXPECT_EQ(ev.diagnostics.size(), 3u);
     // Diagnostics arrive in ascending layer order even from the pool.
     for (std::size_t i = 0; i < ev.diagnostics.size(); ++i)
@@ -141,9 +141,10 @@ TEST(KeepGoing, NoFailuresMatchesStrictModeBitExactly)
     Arch arch = baseMacro();
     workload::Network net = workload::resnet18();
     net.layers.resize(3);
-    NetworkEvaluation strict = evaluateNetworkParallel(arch, net, 4, 40, 7);
-    NetworkEvaluation lenient = evaluateNetworkParallel(
-        arch, net, 4, 40, 7, Objective::Energy, true);
+    NetworkEvaluation strict =
+        evaluateNetwork(arch, net, 40, 7, {.threads = 4});
+    NetworkEvaluation lenient =
+        evaluateNetwork(arch, net, 40, 7, {.threads = 4, .keepGoing = true});
     EXPECT_TRUE(lenient.complete());
     EXPECT_DOUBLE_EQ(strict.energyPj, lenient.energyPj);
     EXPECT_DOUBLE_EQ(strict.latencyNs, lenient.latencyNs);

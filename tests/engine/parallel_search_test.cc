@@ -26,12 +26,10 @@ TEST(ParallelSearch, BestIdenticalAcrossThreadCounts)
 {
     Arch arch = baseMacro();
     workload::Layer layer = workload::resnet18().layers[8];
-    SearchResult serial =
-        searchMappings(arch, layer, 300, 11, Objective::Energy, 1);
+    SearchResult serial = searchMappings(arch, layer, 300, 11);
     for (int threads : {2, 8}) {
         SearchResult parallel =
-            searchMappings(arch, layer, 300, 11, Objective::Energy,
-                           threads);
+            searchMappings(arch, layer, 300, 11, {.threads = threads});
         EXPECT_TRUE(serial.bestMapping == parallel.bestMapping)
             << threads << " threads picked a different mapping";
         EXPECT_DOUBLE_EQ(serial.best.energyPj, parallel.best.energyPj);
@@ -51,8 +49,10 @@ TEST(ParallelSearch, DeterministicAcrossObjectives)
     workload::Layer layer = workload::resnet18().layers[3];
     for (Objective obj :
          {Objective::Energy, Objective::Edp, Objective::Delay}) {
-        SearchResult a = searchMappings(arch, layer, 120, 5, obj, 1);
-        SearchResult b = searchMappings(arch, layer, 120, 5, obj, 4);
+        SearchResult a =
+            searchMappings(arch, layer, 120, 5, {.objective = obj});
+        SearchResult b = searchMappings(arch, layer, 120, 5,
+                                        {.objective = obj, .threads = 4});
         EXPECT_TRUE(a.bestMapping == b.bestMapping);
         EXPECT_DOUBLE_EQ(a.best.energyPj, b.best.energyPj);
     }
@@ -85,20 +85,60 @@ TEST(ParallelSearch, ZeroRandomMappingsReturnsGreedy)
 
 TEST(ParallelNetwork, MatchesSerialBitExactly)
 {
+    // resnet18's first 4 layers: threads 2 and 4 fan layers out, threads
+    // 8 also splits each layer's sample budget over 2 inner threads.
+    // mobilenet_v3's first 6 add depthwise layers.
     Arch arch = baseMacro();
-    workload::Network net = workload::resnet18();
-    net.layers.resize(4); // keep the test quick
-    NetworkEvaluation serial = evaluateNetwork(arch, net, 60, 7);
-    NetworkEvaluation parallel =
-        evaluateNetworkParallel(arch, net, 4, 60, 7);
-    ASSERT_EQ(serial.layers.size(), parallel.layers.size());
-    EXPECT_DOUBLE_EQ(serial.energyPj, parallel.energyPj);
-    EXPECT_DOUBLE_EQ(serial.latencyNs, parallel.latencyNs);
-    EXPECT_DOUBLE_EQ(serial.macs, parallel.macs);
-    for (std::size_t i = 0; i < serial.layers.size(); ++i) {
-        EXPECT_TRUE(serial.layers[i].bestMapping ==
-                    parallel.layers[i].bestMapping)
-            << "layer " << i;
+    workload::Network resnet = workload::resnet18();
+    resnet.layers.resize(4); // keep the test quick
+    workload::Network mobile = workload::mobileNetV3();
+    mobile.layers.resize(6);
+    for (workload::Layer& l : mobile.layers)
+        l.networkLayers = 6;
+    for (const workload::Network& net : {resnet, mobile}) {
+        NetworkEvaluation serial = evaluateNetwork(arch, net, 60, 7);
+        EXPECT_TRUE(serial.complete());
+        for (int threads : {2, 4, 8}) {
+            SCOPED_TRACE(net.name + ", threads " + std::to_string(threads));
+            NetworkEvaluation parallel =
+                evaluateNetwork(arch, net, 60, 7, {.threads = threads});
+            ASSERT_EQ(serial.layers.size(), parallel.layers.size());
+            EXPECT_DOUBLE_EQ(serial.energyPj, parallel.energyPj);
+            EXPECT_DOUBLE_EQ(serial.latencyNs, parallel.latencyNs);
+            EXPECT_DOUBLE_EQ(serial.macs, parallel.macs);
+            EXPECT_DOUBLE_EQ(serial.areaUm2, parallel.areaUm2);
+            EXPECT_TRUE(parallel.complete());
+            for (std::size_t i = 0; i < serial.layers.size(); ++i) {
+                const SearchResult& s = serial.layers[i];
+                const SearchResult& p = parallel.layers[i];
+                EXPECT_TRUE(s.bestMapping == p.bestMapping) << "layer " << i;
+                EXPECT_DOUBLE_EQ(s.best.energyPj, p.best.energyPj)
+                    << "layer " << i;
+                EXPECT_EQ(s.evaluated, p.evaluated) << "layer " << i;
+                EXPECT_EQ(s.invalid, p.invalid) << "layer " << i;
+                EXPECT_EQ(s.rejected, p.rejected) << "layer " << i;
+            }
+        }
+    }
+}
+
+TEST(ParallelNetwork, EmptyNetworkHasZeroTotals)
+{
+    Arch arch = baseMacro();
+    workload::Network net;
+    net.name = "empty";
+    for (int threads : {1, 8}) {
+        for (bool keep_going : {false, true}) {
+            NetworkEvaluation ev = evaluateNetwork(
+                arch, net, 20, 1,
+                {.threads = threads, .keepGoing = keep_going});
+            EXPECT_TRUE(ev.layers.empty());
+            EXPECT_TRUE(ev.diagnostics.empty());
+            EXPECT_DOUBLE_EQ(ev.energyPj, 0.0);
+            EXPECT_DOUBLE_EQ(ev.latencyNs, 0.0);
+            EXPECT_DOUBLE_EQ(ev.macs, 0.0);
+            EXPECT_DOUBLE_EQ(ev.areaUm2, 0.0);
+        }
     }
 }
 
@@ -116,7 +156,7 @@ TEST(ParallelNetwork, MoreThreadsThanLayersSplitsSearch)
         l.networkLayers = 2;
     NetworkEvaluation serial = evaluateNetwork(arch, net, 100, 9);
     NetworkEvaluation parallel =
-        evaluateNetworkParallel(arch, net, 8, 100, 9);
+        evaluateNetwork(arch, net, 100, 9, {.threads = 8});
     EXPECT_DOUBLE_EQ(serial.energyPj, parallel.energyPj);
     EXPECT_DOUBLE_EQ(serial.latencyNs, parallel.latencyNs);
 }
@@ -154,10 +194,11 @@ TEST(ParallelNetwork, UnmappableLayerThrowsFatalErrorNotTerminate)
     }
     // Before the fix, the FatalError escaped a worker lambda and
     // std::terminate killed the whole process here.
-    EXPECT_THROW(evaluateNetworkParallel(arch, net, 4, 50, 1),
-                 cimloop::FatalError);
-    // Same failure surface as the serial path.
-    EXPECT_THROW(evaluateNetwork(arch, net, 50, 1), cimloop::FatalError);
+    for (int threads : {1, 4}) {
+        EXPECT_THROW(evaluateNetwork(arch, net, 50, 1, {.threads = threads}),
+                     cimloop::FatalError)
+            << threads << " threads";
+    }
 }
 
 TEST(PerActionCache, HitsOnRepeatedSearch)

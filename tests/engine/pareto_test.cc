@@ -33,9 +33,9 @@ TEST(Pareto, ExtremesMatchSingleObjectiveSearch)
     std::vector<ParetoPoint> frontier =
         paretoFrontier(arch, layer, 150, 3);
     SearchResult energy = searchMappings(arch, layer, 150, 3,
-                                         Objective::Energy);
+                                         {.objective = Objective::Energy});
     SearchResult delay = searchMappings(arch, layer, 150, 3,
-                                        Objective::Delay);
+                                        {.objective = Objective::Delay});
     // Same seed, same samples: the frontier ends are the single-
     // objective optima.
     EXPECT_DOUBLE_EQ(frontier.front().eval.energyPj,

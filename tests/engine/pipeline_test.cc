@@ -183,11 +183,12 @@ TEST(Search, EdpObjectiveBalances)
 {
     Arch arch = baseMacro();
     workload::Layer layer = workload::resnet18().layers[7];
-    SearchResult edp = searchMappings(arch, layer, 80, 5, Objective::Edp);
+    SearchResult edp =
+        searchMappings(arch, layer, 80, 5, {.objective = Objective::Edp});
     SearchResult en = searchMappings(arch, layer, 80, 5,
-                                     Objective::Energy);
+                                     {.objective = Objective::Energy});
     SearchResult de = searchMappings(arch, layer, 80, 5,
-                                     Objective::Delay);
+                                     {.objective = Objective::Delay});
     double edp_val = edp.best.energyPj * edp.best.latencyNs;
     EXPECT_LE(edp_val,
               en.best.energyPj * en.best.latencyNs * (1 + 1e-9));

@@ -40,7 +40,8 @@ TEST(Parallel, MatchesSequentialForSameSeed)
     for (std::size_t i = 0; i < net.layers.size(); ++i)
         net.layers[i].networkLayers = 6;
     NetworkEvaluation seq = evaluateNetwork(arch, net, 40, 9);
-    NetworkEvaluation par = evaluateNetworkParallel(arch, net, 4, 40, 9);
+    NetworkEvaluation par =
+        evaluateNetwork(arch, net, 40, 9, {.threads = 4});
     ASSERT_EQ(par.layers.size(), seq.layers.size());
     EXPECT_DOUBLE_EQ(par.energyPj, seq.energyPj);
     EXPECT_DOUBLE_EQ(par.latencyNs, seq.latencyNs);
@@ -50,15 +51,6 @@ TEST(Parallel, MatchesSequentialForSameSeed)
                          seq.layers[i].best.energyPj)
             << net.layers[i].name;
     }
-}
-
-TEST(Parallel, SingleThreadFallsThrough)
-{
-    Arch arch = macros::baseMacro();
-    workload::Network net = workload::maxUtilMvm(64, 64, 32);
-    NetworkEvaluation a = evaluateNetworkParallel(arch, net, 1, 30, 2);
-    NetworkEvaluation b = evaluateNetwork(arch, net, 30, 2);
-    EXPECT_DOUBLE_EQ(a.energyPj, b.energyPj);
 }
 
 } // namespace

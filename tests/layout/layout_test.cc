@@ -380,12 +380,13 @@ TEST(CoSearch, BitIdenticalAcrossThreadCounts)
     workload::Layer layer = workload::resnet18().layers[8];
     for (std::uint64_t seed : {1u, 2u, 3u}) {
         engine::SearchResult serial = engine::searchMappings(
-            arch, layer, 60, seed, engine::Objective::Delay, 1);
+            arch, layer, 60, seed, {.objective = engine::Objective::Delay});
         EXPECT_EQ(serial.layoutsEvaluated, 7);
         for (int threads : {2, 8}) {
             engine::SearchResult parallel = engine::searchMappings(
-                arch, layer, 60, seed, engine::Objective::Delay,
-                threads);
+                arch, layer, 60, seed,
+                {.objective = engine::Objective::Delay,
+                 .threads = threads});
             EXPECT_TRUE(serial.bestMapping == parallel.bestMapping)
                 << "seed " << seed << ", " << threads << " threads";
             EXPECT_EQ(serial.bestLayout.name, parallel.bestLayout.name);
@@ -413,10 +414,12 @@ TEST(CoSearch, BeatsTheDefaultLayoutOnLatency)
 
     workload::Layer layer = workload::matmulLayer("mvm", 64, 128, 128);
     layer.network = "mvm";
-    engine::SearchResult best = engine::searchMappings(
-        searched, layer, 40, 1, engine::Objective::Delay, 2);
-    engine::SearchResult naive = engine::searchMappings(
-        fixed, layer, 40, 1, engine::Objective::Delay, 2);
+    const engine::EvalOptions opts{.objective = engine::Objective::Delay,
+                                   .threads = 2};
+    engine::SearchResult best =
+        engine::searchMappings(searched, layer, 40, 1, opts);
+    engine::SearchResult naive =
+        engine::searchMappings(fixed, layer, 40, 1, opts);
     EXPECT_LT(best.best.latencyNs, naive.best.latencyNs);
     EXPECT_NE(best.bestLayout.name, "default");
     EXPECT_EQ(naive.layoutsEvaluated, 1);
