@@ -1,10 +1,10 @@
-#include "cimloop/serve/json.hh"
+#include "cimloop/common/json.hh"
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
-namespace cimloop::serve {
+namespace cimloop {
 
 const JsonValue*
 JsonValue::get(const std::string& key) const
@@ -401,4 +401,4 @@ writeJson(const JsonValue& v)
     return "null";
 }
 
-} // namespace cimloop::serve
+} // namespace cimloop

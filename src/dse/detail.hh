@@ -20,14 +20,6 @@ std::string fmtFull(double v);
 /** Escapes a CSV field (quotes it when it holds , " CR or LF). */
 std::string csvField(const std::string& s);
 
-/** Escapes a JSON string payload. */
-std::string jsonEscape(const std::string& s);
-
-/** Reverses jsonEscape for the journal loader. Tolerant: a malformed
- *  escape passes through verbatim (the loader treats garbled lines as
- *  an uncommitted tail anyway). */
-std::string jsonUnescape(const std::string& s);
-
 } // namespace cimloop::dse::detail
 
 #endif // CIMLOOP_DSE_DETAIL_HH

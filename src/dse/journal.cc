@@ -1,23 +1,29 @@
 /**
  * @file
  * Sweep journal read/write (see journal.hh for the layout and commit
- * protocol). The record format is a fixed-field single-line JSON the
- * writer below is the only producer of, so the loader is a sequential
- * field scanner, not a general JSON parser; any line it cannot scan is
- * treated as an uncommitted tail and dropped.
+ * protocol). Every line is one JSON object: the writers below format
+ * their fixed layout by hand (escaping strings with the common
+ * jsonEscape, and writing a non-finite metric as null), and the loader
+ * reads each line back through the common strict parser plus typed
+ * field lookups. A header that fails to load is fatal; a commit or
+ * record line that fails is an uncommitted tail and is dropped.
  */
 #include "cimloop/dse/journal.hh"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include "cimloop/common/error.hh"
+#include "cimloop/common/json.hh"
 #include "../detail.hh"
 
 namespace cimloop::dse {
@@ -80,74 +86,31 @@ journalFsyncEnabled()
     return env == nullptr || std::strcmp(env, "1") != 0;
 }
 
-/** Sequential scanner over one journal line. */
-struct LineScanner
+/** Non-negative integer member @p key of object @p obj, read from the
+ *  number's raw token: digits only — no sign, fraction or exponent —
+ *  and no wrap-around. */
+bool
+uintField(const JsonValue& obj, const char* key, std::size_t& out)
 {
-    const std::string& s;
-    std::size_t pos = 0;
-
-    bool
-    lit(const char* text)
-    {
-        const std::size_t len = std::string::traits_type::length(text);
-        if (s.compare(pos, len, text) != 0)
-            return false;
-        pos += len;
-        return true;
-    }
-
-    bool
-    u64(std::size_t& out)
-    {
-        if (pos >= s.size() || s[pos] < '0' || s[pos] > '9')
-            return false;
-        char* end = nullptr;
-        out = static_cast<std::size_t>(
-            std::strtoull(s.c_str() + pos, &end, 10));
-        pos = static_cast<std::size_t>(end - s.c_str());
-        return true;
-    }
-
-    bool
-    num(double& out)
-    {
-        char* end = nullptr;
-        out = std::strtod(s.c_str() + pos, &end);
-        if (end == s.c_str() + pos)
-            return false;
-        pos = static_cast<std::size_t>(end - s.c_str());
-        return true;
-    }
-
-    /** Parses a quoted, jsonEscape()d string (escape-aware, so field
-     *  markers inside the payload cannot confuse the scanner). */
-    bool
-    str(std::string& out)
-    {
-        if (!lit("\""))
-            return false;
-        std::string raw;
-        while (pos < s.size()) {
-            const char c = s[pos];
-            if (c == '\\') {
-                if (pos + 1 >= s.size())
-                    return false;
-                raw += c;
-                raw += s[pos + 1];
-                pos += 2;
-                continue;
-            }
-            if (c == '"') {
-                ++pos;
-                out = detail::jsonUnescape(raw);
-                return true;
-            }
-            raw += c;
-            ++pos;
-        }
+    const JsonValue* v = obj.get(key);
+    if (v == nullptr || !v->isNumber() ||
+        v->raw.find_first_not_of("0123456789") != std::string::npos)
         return false;
-    }
-};
+    errno = 0;
+    out = std::strtoull(v->raw.c_str(), nullptr, 10);
+    return errno != ERANGE;
+}
+
+/** String member @p key of object @p obj. */
+bool
+stringField(const JsonValue& obj, const char* key, std::string& out)
+{
+    const JsonValue* v = obj.get(key);
+    if (v == nullptr || !v->isString())
+        return false;
+    out = v->text;
+    return true;
+}
 
 std::string
 recordLine(const PointResult& pr)
@@ -156,12 +119,15 @@ recordLine(const PointResult& pr)
     oss << "{\"i\":" << pr.point.index << ",\"st\":\""
         << pointStatusName(pr.status)
         << "\",\"eng\":" << (pr.engineTouched ? 1 : 0) << ",\"d\":\""
-        << detail::jsonEscape(pr.statusDetail) << "\",\"m\":[";
+        << jsonEscape(pr.statusDetail) << "\",\"m\":[";
     const double m[kJournalMetricCount] = {
         pr.energyPj, pr.energyPerMacPj, pr.latencyNs, pr.areaUm2,
         pr.macs,     pr.topsPerWatt,    pr.accuracyLoss};
+    // JSON has no NaN/inf: a non-finite metric (only Failed points carry
+    // one, and no exporter prints a Failed point's metrics) is null.
     for (std::size_t k = 0; k < kJournalMetricCount; ++k)
-        oss << (k ? "," : "") << detail::fmtFull(m[k]);
+        oss << (k ? "," : "")
+            << (std::isfinite(m[k]) ? detail::fmtFull(m[k]) : "null");
     oss << "]}";
     return oss.str();
 }
@@ -169,27 +135,26 @@ recordLine(const PointResult& pr)
 bool
 parseRecordLine(const std::string& line, JournalRecord& rec)
 {
-    LineScanner sc{line};
+    const std::optional<JsonValue> doc = parseJson(line);
     std::size_t eng = 0;
     std::string st;
-    if (!sc.lit("{\"i\":") || !sc.u64(rec.index))
+    if (!doc || !uintField(*doc, "i", rec.index) ||
+        !stringField(*doc, "st", st) || !uintField(*doc, "eng", eng) ||
+        !stringField(*doc, "d", rec.statusDetail))
         return false;
-    if (!sc.lit(",\"st\":") || !sc.str(st))
-        return false;
-    if (!sc.lit(",\"eng\":") || !sc.u64(eng))
-        return false;
-    if (!sc.lit(",\"d\":") || !sc.str(rec.statusDetail))
-        return false;
-    if (!sc.lit(",\"m\":["))
+    const JsonValue* m = doc->get("m");
+    if (m == nullptr || !m->isArray() ||
+        m->items.size() != kJournalMetricCount)
         return false;
     for (std::size_t k = 0; k < kJournalMetricCount; ++k) {
-        if (k && !sc.lit(","))
-            return false;
-        if (!sc.num(rec.metrics[k]))
+        const JsonValue& v = m->items[k];
+        if (v.isNull())
+            rec.metrics[k] = std::numeric_limits<double>::quiet_NaN();
+        else if (v.isNumber())
+            rec.metrics[k] = v.number;
+        else
             return false;
     }
-    if (!sc.lit("]}"))
-        return false;
     rec.engineTouched = eng != 0;
     if (st == "ok")
         rec.status = PointStatus::Ok;
@@ -206,9 +171,9 @@ headerLine(const std::string& fingerprint, std::size_t points,
 {
     std::ostringstream oss;
     oss << "{\"cimloop_sweep_journal\":" << kJournalVersion
-        << ",\"fingerprint\":\"" << detail::jsonEscape(fingerprint)
+        << ",\"fingerprint\":\"" << jsonEscape(fingerprint)
         << "\",\"points\":" << points << ",\"chunk_size\":" << chunkSize
-        << ",\"name\":\"" << detail::jsonEscape(name) << "\"}";
+        << ",\"name\":\"" << jsonEscape(name) << "\"}";
     return oss.str();
 }
 
@@ -272,16 +237,15 @@ SweepJournal::load(const std::string& fingerprint, std::size_t points,
                   "' is empty — not a cimloop sweep journal");
     }
     {
-        LineScanner sc{line};
+        const std::optional<JsonValue> doc = parseJson(line);
         std::size_t version = 0, hdrPoints = 0, hdrChunk = 0;
         std::string hdrFp, hdrName;
-        const bool ok = sc.lit("{\"cimloop_sweep_journal\":") &&
-                        sc.u64(version) &&
-                        sc.lit(",\"fingerprint\":") && sc.str(hdrFp) &&
-                        sc.lit(",\"points\":") && sc.u64(hdrPoints) &&
-                        sc.lit(",\"chunk_size\":") && sc.u64(hdrChunk) &&
-                        sc.lit(",\"name\":") && sc.str(hdrName) &&
-                        sc.lit("}");
+        const bool ok = doc &&
+                        uintField(*doc, "cimloop_sweep_journal", version) &&
+                        stringField(*doc, "fingerprint", hdrFp) &&
+                        uintField(*doc, "points", hdrPoints) &&
+                        uintField(*doc, "chunk_size", hdrChunk) &&
+                        stringField(*doc, "name", hdrName);
         if (!ok) {
             CIM_FATAL("'", manifestPath,
                       "' does not start with a cimloop sweep journal "
@@ -310,16 +274,15 @@ SweepJournal::load(const std::string& fingerprint, std::size_t points,
                       chunkSize, ")");
         }
     }
-    // Commit lines. A line the scanner rejects is an append that was
+    // Commit lines. A line the loader rejects is an append that was
     // cut short by a kill; nothing after it can be committed either, so
     // stop there.
     while (std::getline(manifest, line)) {
-        LineScanner sc{line};
+        const std::optional<JsonValue> doc = parseJson(line);
         std::size_t chunk = 0, from = 0, to = 0;
-        const bool ok = sc.lit("{\"chunk\":") && sc.u64(chunk) &&
-                        sc.lit(",\"from\":") && sc.u64(from) &&
-                        sc.lit(",\"to\":") && sc.u64(to) &&
-                        sc.lit("}");
+        const bool ok = doc && uintField(*doc, "chunk", chunk) &&
+                        uintField(*doc, "from", from) &&
+                        uintField(*doc, "to", to);
         if (!ok)
             break;
         const std::size_t expectFrom = chunk * chunkSize_;

@@ -15,10 +15,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <iomanip>
 #include <sstream>
 
+#include "cimloop/common/json.hh"
 #include "detail.hh"
 
 namespace cimloop::dse {
@@ -56,86 +56,12 @@ csvField(const std::string& s)
     return out;
 }
 
-std::string
-jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
-
-std::string
-jsonUnescape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '\\' || i + 1 >= s.size()) {
-            out += s[i];
-            continue;
-        }
-        const char e = s[++i];
-        switch (e) {
-        case '"':
-            out += '"';
-            break;
-        case '\\':
-            out += '\\';
-            break;
-        case 'n':
-            out += '\n';
-            break;
-        case 't':
-            out += '\t';
-            break;
-        case 'u':
-            if (i + 4 < s.size()) {
-                const std::string hex = s.substr(i + 1, 4);
-                out += static_cast<char>(
-                    std::strtol(hex.c_str(), nullptr, 16));
-                i += 4;
-            }
-            break;
-        default:
-            // Not something jsonEscape emits; keep it verbatim.
-            out += '\\';
-            out += e;
-        }
-    }
-    return out;
-}
-
 } // namespace detail
 
 namespace {
 
 using detail::csvField;
 using detail::fmtNum;
-using detail::jsonEscape;
 
 /**
  * Axis column @p a of a point, or "" when the point carries fewer axis

@@ -139,7 +139,8 @@ archCacheKey(const Arch& arch)
         << arch.supplyVoltage << ' ' << arch.includeLeakage << '\x1f'
         << arch.faults.stuckOffRate << ' ' << arch.faults.stuckOnRate << ' '
         << arch.faults.conductanceSigma << ' ' << arch.faults.adcOffset
-        << ' ' << arch.faults.adcNoiseSigma << ' ' << arch.faults.seed;
+        << ' ' << arch.faults.adcNoiseSigma << ' ' << arch.faults.seed
+        << '\x1f' << models::PluginRegistry::instance().generation();
     return oss.str();
 }
 

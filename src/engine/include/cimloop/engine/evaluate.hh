@@ -96,9 +96,10 @@ std::size_t perActionTableFootprint(const PerActionTable& table);
  * The architecture half of the per-action cache key: everything
  * precompute() reads off the Arch (serialized hierarchy, representation,
  * operating point, fault model), at full double precision so operating
- * points one ULP apart do not alias. Two arches with equal keys produce
- * identical per-action tables for every layer. The DSE journal and the
- * sweep's cross-point cache-economy accounting reuse this fingerprint.
+ * points one ULP apart do not alias, plus the plug-in registry's
+ * generation so re-registering a component class never returns tables
+ * estimated by the model it replaced. Two arches with equal keys produce
+ * identical per-action tables for every layer.
  */
 std::string archCacheKey(const Arch& arch);
 

@@ -72,6 +72,7 @@ PluginRegistry::add(std::unique_ptr<ComponentModel> model)
     CIM_ASSERT(model, "cannot register a null model");
     std::string key = toLower(model->className());
     models[key] = std::move(model);
+    generation_.fetch_add(1, std::memory_order_relaxed);
 }
 
 const ComponentModel*

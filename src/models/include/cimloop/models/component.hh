@@ -14,6 +14,8 @@
 #ifndef CIMLOOP_MODELS_COMPONENT_HH
 #define CIMLOOP_MODELS_COMPONENT_HH
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -120,8 +122,17 @@ class PluginRegistry
     /** The global registry (built-ins pre-registered). */
     static PluginRegistry& instance();
 
-    /** Registers a model; replaces any model with the same class name. */
+    /** Registers a model; replaces any model with the same class name.
+     *  Bumps generation(). */
     void add(std::unique_ptr<ComponentModel> model);
+
+    /** Number of add() calls so far. Per-action tables cached under one
+     *  generation may hold estimates from a model since replaced, so
+     *  the engine's cache key includes it. */
+    std::uint64_t generation() const
+    {
+        return generation_.load(std::memory_order_relaxed);
+    }
 
     /** Finds a model; nullptr when the class is unknown. */
     const ComponentModel* find(const std::string& class_name) const;
@@ -135,6 +146,7 @@ class PluginRegistry
   private:
     PluginRegistry() = default;
     std::map<std::string, std::unique_ptr<ComponentModel>> models;
+    std::atomic<std::uint64_t> generation_{0};
 };
 
 /** Registers all built-in plug-ins into @p registry (idempotent). */

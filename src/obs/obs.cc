@@ -10,6 +10,8 @@
 #include <sstream>
 #include <iomanip>
 
+#include "cimloop/common/json.hh"
+
 namespace cimloop {
 namespace obs {
 namespace {
@@ -47,19 +49,6 @@ Registry& registry()
 std::atomic<bool> g_timing{false};
 std::atomic<bool> g_trace{false};
 std::atomic<int> g_next_tid{0};
-
-/** Escape a name for use inside a JSON string literal. */
-std::string jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
-}
 
 } // namespace
 

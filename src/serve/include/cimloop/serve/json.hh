@@ -1,91 +1,21 @@
 /**
  * @file
- * Minimal JSON for the serve protocol: a strict recursive-descent
- * parser and an escaping writer. No external dependency — the request
- * surface of a daemon is exactly the place a vendored parser earns its
- * ~300 lines, because every malformed byte sequence a client can send
- * must become a structured error, never UB or an abort.
- *
- * Parser properties the protocol robustness suite pins:
- *  - never throws on malformed input: parse() returns nullopt and fills
- *    an error string with a byte offset;
- *  - bounded recursion (kMaxDepth) so deeply nested input cannot
- *    overflow the stack;
- *  - numbers keep their raw source text next to the double value, so a
- *    request id of arbitrary magnitude echoes back verbatim instead of
- *    round-tripping through double precision;
- *  - strings accept the full backslash-uXXXX escape range including
- *    surrogate pairs (encoded as UTF-8) and escaped NULs; raw control
- *    bytes (including NUL) inside a string are rejected as JSON
- *    requires.
+ * The serve protocol's JSON names. The parser, escaper and writer live
+ * in cimloop/common/json.hh; this header only re-exports them into
+ * cimloop::serve.
  */
 #ifndef CIMLOOP_SERVE_JSON_HH
 #define CIMLOOP_SERVE_JSON_HH
 
-#include <cstdint>
-#include <optional>
-#include <string>
-#include <utility>
-#include <vector>
+#include "cimloop/common/json.hh"
 
 namespace cimloop::serve {
 
-/** One parsed JSON value (a small closed sum type). */
-class JsonValue
-{
-  public:
-    enum class Kind
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object,
-    };
-
-    Kind kind = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string raw;  //!< numbers: the exact source token
-    std::string text; //!< strings: the decoded value
-    std::vector<JsonValue> items; //!< arrays
-    /** Object members in source order (later duplicates win on get()). */
-    std::vector<std::pair<std::string, JsonValue>> members;
-
-    bool isNull() const { return kind == Kind::Null; }
-    bool isBool() const { return kind == Kind::Bool; }
-    bool isNumber() const { return kind == Kind::Number; }
-    bool isString() const { return kind == Kind::String; }
-    bool isArray() const { return kind == Kind::Array; }
-    bool isObject() const { return kind == Kind::Object; }
-
-    /** Member lookup (objects only); nullptr when absent. */
-    const JsonValue* get(const std::string& key) const;
-};
-
-/** Maximum nesting depth parseJson() accepts before erroring out. */
-inline constexpr int kJsonMaxDepth = 64;
-
-/**
- * Parses exactly one JSON document from @p input (leading/trailing
- * whitespace allowed, trailing garbage rejected). On failure returns
- * nullopt and, when @p error is non-null, stores a message carrying the
- * byte offset of the offending input.
- */
-std::optional<JsonValue> parseJson(const std::string& input,
-                                   std::string* error = nullptr);
-
-/** Escapes @p s as the *inside* of a JSON string literal (no quotes):
- *  ", backslash, control bytes, and DEL become escape sequences;
- *  everything else — including non-ASCII UTF-8 — passes through
- *  byte-exact. */
-std::string jsonEscape(const std::string& s);
-
-/** Serializes @p v compactly (one line, no spaces). Numbers emit their
- *  raw source token when one was captured, so parsed ids round-trip
- *  byte-exact. */
-std::string writeJson(const JsonValue& v);
+using cimloop::JsonValue;
+using cimloop::jsonEscape;
+using cimloop::kJsonMaxDepth;
+using cimloop::parseJson;
+using cimloop::writeJson;
 
 } // namespace cimloop::serve
 

@@ -7,9 +7,9 @@
 
 #include "cimloop/cli/cli.hh"
 #include "cimloop/common/error.hh"
+#include "cimloop/common/json.hh"
 #include "cimloop/engine/evaluate.hh"
 #include "cimloop/obs/obs.hh"
-#include "cimloop/serve/json.hh"
 
 namespace cimloop::serve {
 

@@ -11,12 +11,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cimloop/common/error.hh"
+#include "cimloop/common/json.hh"
 #include "cimloop/engine/evaluate.hh"
 #include "cimloop/macros/macros.hh"
 #include "cimloop/obs/obs.hh"
@@ -24,6 +26,35 @@
 
 namespace cimloop::dse {
 namespace {
+
+/** Quote, backslash, CR, BS, FF, DEL and a UTF-8 euro sign. */
+const std::string kHostile = "q\" s\\ \r\b\f\x7f \xE2\x82\xAC";
+
+/**
+ * Parses a toJson() document strictly and checks that the sweep name,
+ * the last point's axis value and its failure detail decode back to
+ * exactly @p name, @p axis and @p detail.
+ */
+void
+expectJsonDecodesTo(const std::string& json, const std::string& name,
+                    const std::string& axis, const std::string& detail)
+{
+    std::string error;
+    std::optional<JsonValue> doc = parseJson(json, &error);
+    ASSERT_TRUE(doc.has_value()) << error << "\n" << json;
+    const JsonValue* sweep = doc->get("sweep");
+    ASSERT_TRUE(sweep && sweep->isString());
+    EXPECT_EQ(sweep->text, name);
+    const JsonValue* points = doc->get("points");
+    ASSERT_TRUE(points && points->isArray() && !points->items.empty());
+    const JsonValue& last = points->items.back();
+    const JsonValue* axes = last.get("axes");
+    ASSERT_TRUE(axes && axes->isObject() && !axes->members.empty());
+    EXPECT_EQ(axes->members.back().second.text, axis);
+    const JsonValue* got = last.get("detail");
+    ASSERT_TRUE(got && got->isString());
+    EXPECT_EQ(got->text, detail);
+}
 
 TEST(DseSweep, CrossCheckMatchesHandRolledLoop)
 {
@@ -224,6 +255,23 @@ TEST(DseSweep, CsvAndJsonCarryTheGrid)
     EXPECT_NE(json.find("\"summary\""), std::string::npos);
     EXPECT_NE(json.find("\"frontier\""), std::string::npos);
     EXPECT_NE(json.find("\"dac_bits\": \"2\""), std::string::npos);
+
+    // A sweep name and a string-axis value full of JSON-hostile bytes:
+    // the failing point's axis text and diagnostic both carry them, and
+    // the document still parses and decodes back to the exact strings.
+    SweepSpec odd;
+    odd.name = kHostile;
+    odd.network = "mvm";
+    odd.mappings = 4;
+    odd.addAxis("macro", std::vector<std::string>{"base", kHostile});
+    SweepResult oddResult = runSweep(odd);
+    ASSERT_EQ(oddResult.points.size(), 2u);
+    const PointResult& bad = oddResult.points[1];
+    ASSERT_EQ(bad.status, PointStatus::Failed);
+    EXPECT_NE(bad.statusDetail.find(kHostile), std::string::npos)
+        << bad.statusDetail;
+    expectJsonDecodesTo(toJson(oddResult), kHostile, kHostile,
+                        bad.statusDetail);
 }
 
 TEST(DseSweep, CountsAreConsistent)
@@ -407,6 +455,19 @@ TEST(DseSweep, ExportersToleratePointsWithEmptyAxisText)
         << csv;
     EXPECT_NE(toJson(result).find("\"array\": \"\""), std::string::npos);
     EXPECT_NE(formatTable(result).find("failed"), std::string::npos);
+
+    // The same point with hostile bytes in every string the JSON
+    // exporter writes. BS, FF, CR and DEL take their short (or \u007f)
+    // escapes — pinned here — and everything decodes back exactly.
+    result.name = kHostile;
+    result.points[0].point.axisText = {kHostile, kHostile};
+    result.points[0].statusDetail = kHostile;
+    const std::string json = toJson(result);
+    EXPECT_NE(json.find("\"detail\": \"q\\\" s\\\\ \\r\\b\\f\\u007f "
+                        "\xE2\x82\xAC\""),
+              std::string::npos)
+        << json;
+    expectJsonDecodesTo(json, kHostile, kHostile, kHostile);
 }
 
 TEST(DseSweep, MemoryBoundedModeKeepsOnlyTheFrontier)

@@ -1,14 +1,18 @@
 /**
  * Parallel intra-layer mapping search: the shard/merge determinism
  * contract (identical winner for any thread count), the per-action table
- * cache, the rejected/exhausted counters, and the threaded network
- * evaluator's exception path (FatalError instead of std::terminate).
+ * cache (keyed on plug-in identity too), the rejected/exhausted
+ * counters, and the threaded network evaluator's exception path
+ * (FatalError instead of std::terminate).
  */
 #include "cimloop/engine/evaluate.hh"
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "cimloop/common/error.hh"
+#include "cimloop/common/util.hh"
 #include "cimloop/macros/macros.hh"
 #include "cimloop/spec/builder.hh"
 #include "cimloop/workload/networks.hh"
@@ -234,6 +238,48 @@ TEST(PerActionCache, DistinguishesOperatingPoints)
 
     // Same key returns the same immutable table.
     EXPECT_EQ(cachedPrecompute(arch, layer).get(), nominal.get());
+    clearPerActionCache();
+}
+
+TEST(PerActionCache, ReRegisteredPluginMissesTheCache)
+{
+    // Replacing a component model changes what precompute() computes,
+    // so a table cached before the swap must not be served after it.
+    class FixedAdc : public models::ComponentModel
+    {
+      public:
+        std::string className() const override { return "ADC"; }
+        std::string description() const override { return "fixed"; }
+        models::ComponentEstimate
+        estimate(const models::ComponentContext&) const override
+        {
+            models::ComponentEstimate e;
+            e.actionEnergyPj = {1234.5, 1234.5, 1234.5};
+            return e;
+        }
+    };
+    clearPerActionCache();
+    Arch arch = baseMacro();
+    workload::Layer layer = workload::resnet18().layers[5];
+    std::size_t adc = 0;
+    while (adc < arch.hierarchy.nodes.size() &&
+           toLower(arch.hierarchy.nodes[adc].klass) != "adc")
+        ++adc;
+    ASSERT_LT(adc, arch.hierarchy.nodes.size());
+
+    std::shared_ptr<const PerActionTable> before =
+        cachedPrecompute(arch, layer);
+    const std::uint64_t misses = perActionCacheStats().misses;
+    models::PluginRegistry& registry = models::PluginRegistry::instance();
+    registry.add(std::make_unique<FixedAdc>());
+    std::shared_ptr<const PerActionTable> after =
+        cachedPrecompute(arch, layer);
+    models::registerBuiltinModels(registry); // restore the built-in ADC
+
+    EXPECT_EQ(perActionCacheStats().misses, misses + 1);
+    EXPECT_NE(after.get(), before.get());
+    EXPECT_NE(before->nodes[adc].actionEnergyPj[0], 1234.5);
+    EXPECT_EQ(after->nodes[adc].actionEnergyPj[0], 1234.5);
     clearPerActionCache();
 }
 

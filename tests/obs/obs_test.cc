@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
 #include <thread>
 
+#include "cimloop/common/json.hh"
 #include "cimloop/common/parallel.hh"
 
 namespace cimloop {
@@ -186,12 +188,31 @@ TEST_F(ObsExport, CountersJsonIsReproducible)
 TEST_F(ObsExport, MetricsJsonEmbedsCountersBlockVerbatim)
 {
     obs::counter("obs_test.embed").add(4);
+    const std::string ctl_name = std::string("obs_test.embed\x01") + "ctl";
+    obs::counter(ctl_name).add(2); // the control byte must be escaped
+    obs::setTimingEnabled(true);
+    {
+        CIM_SPAN("obs_test.embed.span");
+    }
     obs::MetricsSnapshot snap = obs::snapshot();
     std::string full = obs::metricsJson(snap);
     // The counters block inside the full document is byte-identical to
     // countersJson() — scripts extract it by line range and diff it.
     EXPECT_NE(full.find(obs::countersJson(snap)), std::string::npos);
     EXPECT_NE(full.find("\"spans\": {"), std::string::npos);
+
+    // The whole document is strict JSON and decodes back to the names.
+    std::string error;
+    std::optional<JsonValue> doc = parseJson(full, &error);
+    ASSERT_TRUE(doc.has_value()) << error << "\n" << full;
+    const JsonValue* counters = doc->get("counters");
+    ASSERT_TRUE(counters && counters->isObject());
+    const JsonValue* ctl = counters->get(ctl_name);
+    ASSERT_TRUE(ctl && ctl->isNumber());
+    EXPECT_EQ(ctl->raw, "2");
+    const JsonValue* spans = doc->get("spans");
+    ASSERT_TRUE(spans && spans->isObject());
+    EXPECT_NE(spans->get("obs_test.embed.span"), nullptr);
 }
 
 TEST_F(ObsExport, SummaryTableListsNonZeroCounters)
@@ -228,6 +249,13 @@ TEST_F(ObsExport, TraceJsonIsStructurallyChromeLoadable)
          p != std::string::npos; p = trace.find("\"ph\":\"X\"", p + 1))
         ++events;
     EXPECT_EQ(events, 5u);
+
+    std::string error;
+    std::optional<JsonValue> doc = parseJson(trace, &error);
+    ASSERT_TRUE(doc.has_value()) << error << "\n" << trace;
+    const JsonValue* list = doc->get("traceEvents");
+    ASSERT_TRUE(list && list->isArray());
+    EXPECT_EQ(list->items.size(), 5u);
 }
 
 TEST_F(ObsExport, TraceBufferClearsOnReset)

@@ -501,6 +501,16 @@ TEST(ProtocolJson, StringEscapingRoundTrips)
     std::optional<JsonValue> back = parseJson(writeJson(v));
     ASSERT_TRUE(back && back->isString());
     EXPECT_EQ(back->text, nasty);
+
+    // Every byte value, in order: control bytes and DEL escape, the
+    // rest (including lone UTF-8 continuation bytes) pass through.
+    std::string every;
+    for (int b = 0; b < 256; ++b)
+        every.push_back(static_cast<char>(b));
+    v.text = every;
+    back = parseJson(writeJson(v));
+    ASSERT_TRUE(back && back->isString());
+    EXPECT_EQ(back->text, every);
 }
 
 TEST(ProtocolJson, SurrogatePairsDecodeToUtf8)

@@ -30,12 +30,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include "cimloop/serve/json.hh"
+#include "cimloop/common/json.hh"
 
 namespace {
 
-using cimloop::serve::JsonValue;
-using cimloop::serve::parseJson;
+using cimloop::JsonValue;
+using cimloop::parseJson;
 
 int
 usage(std::ostream& os, int rc)
