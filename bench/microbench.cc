@@ -15,7 +15,7 @@
 #include "cimloop/common/arena.hh"
 #include "cimloop/dist/encoding.hh"
 #include "cimloop/dist/pmf.hh"
-#include "cimloop/dist/simd.hh"
+#include "cimloop/dist/reduce.hh"
 #include "cimloop/dse/dse.hh"
 #include "cimloop/engine/evaluate.hh"
 #include "cimloop/faults/faults.hh"
@@ -270,53 +270,6 @@ BM_PmfSliceMixture(benchmark::State& state)
 }
 BENCHMARK(BM_PmfSliceMixture);
 
-/** Runs @p body with the SIMD backend forced to @p b, then re-detects. */
-template <typename Fn>
-void
-withBackend(dist::simd::Backend b, benchmark::State& state, Fn&& body)
-{
-    if (b == dist::simd::Backend::Avx2 && !dist::simd::avx2Supported()) {
-        state.SkipWithError("AVX2 unavailable on this host");
-        for (auto _ : state) {
-        }
-        return;
-    }
-    dist::simd::setBackend(b);
-    body();
-    dist::simd::resetBackend();
-}
-
-void
-latticeConvolveLoop(benchmark::State& state)
-{
-    // Same workload as BM_PmfConvolveLattice; the Simd/Portable pair
-    // isolates the vector-kernel speedup at a pinned backend (results
-    // are bit-identical between the two by the simd.hh contract).
-    dist::Pmf a = dist::Pmf::quantizedGaussian(0.0, 40.0, -128, 127);
-    dist::Pmf b = dist::Pmf::quantizedGaussian(0.0, 40.0, -128, 127);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(a.convolveWith(b));
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(a.size() * b.size()));
-}
-
-void
-BM_LatticeConvolveSimd(benchmark::State& state)
-{
-    withBackend(dist::simd::Backend::Avx2, state,
-                [&] { latticeConvolveLoop(state); });
-}
-BENCHMARK(BM_LatticeConvolveSimd);
-
-void
-BM_LatticeConvolvePortable(benchmark::State& state)
-{
-    withBackend(dist::simd::Backend::Portable, state,
-                [&] { latticeConvolveLoop(state); });
-}
-BENCHMARK(BM_LatticeConvolvePortable);
-
 void
 BM_PrecomputeArena(benchmark::State& state)
 {
@@ -359,8 +312,8 @@ BM_RefsimGnormWalk(benchmark::State& state)
         double total = 0.0;
         for (std::size_t k = 0; k < kCols; ++k) {
             double s = 0.0, e = 0.0;
-            dist::simd::dotPair(xs.data(), xs2.data(), &g[k * kRows],
-                                kRows, s, e);
+            dist::dotPair(xs.data(), xs2.data(), &g[k * kRows], kRows, s,
+                          e);
             total += s + e;
         }
         benchmark::DoNotOptimize(total);
@@ -373,9 +326,9 @@ BENCHMARK(BM_RefsimGnormWalk);
 void
 BM_RefsimGnormWalkNaive(benchmark::State& state)
 {
-    // The pre-SIMD shape of the same walk: a serial dependent-chain
-    // accumulator per dot, which cannot vectorize without reassociation.
-    // The ratio against BM_RefsimGnormWalk is the kernel speedup.
+    // The same walk with a serial dependent-chain accumulator per dot,
+    // which cannot vectorize without reassociation. The ratio against
+    // BM_RefsimGnormWalk is what the four-accumulator association buys.
     constexpr std::size_t kRows = 512;
     constexpr std::size_t kCols = 128;
     std::vector<double> xs(kRows), xs2(kRows), g(kCols * kRows);

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Diffs a current microbench run against the committed BENCH_*.json
 # trajectory and fails (exit 1) when any gated kernel regressed by more
-# than BENCH_TOLERANCE_PCT percent. This is what makes the perf
-# trajectory ENFORCED rather than just recorded.
+# than BENCH_TOLERANCE_PCT percent, or is in the baseline but missing
+# from the current run. This is what makes the perf trajectory ENFORCED
+# rather than just recorded.
 #
 # Usage: bench_compare.sh [-b baseline.json] [-c current.json] [-o report]
 #   -b  baseline snapshot (default: newest git-tracked BENCH_*.json)
@@ -17,7 +18,8 @@
 #   BENCH_GATE_REGEX     anchored regex of gated benchmark names
 #   BUILD_DIR            build tree used when -c is not given
 #
-# Exit codes: 0 ok, 1 regression, 2 usage/misconfiguration.
+# Exit codes: 0 ok, 1 regression or missing gated kernel,
+#             2 usage/misconfiguration.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -25,7 +27,7 @@ BUILD_DIR="${BUILD_DIR:-build}"
 . scripts/bench_filter.sh
 FILTER="${FILTER:-${BENCH_DEFAULT_FILTER}}"
 TOLERANCE="${BENCH_TOLERANCE_PCT:-15}"
-GATE_REGEX="${BENCH_GATE_REGEX:-^BM_(PmfConvolveLattice|PmfSliceMixture|Precompute|PrecomputeArena|LatticeConvolveSimd|RefsimGnormWalk|RefSimValueLevel|Evaluate)$}"
+GATE_REGEX="${BENCH_GATE_REGEX:-^BM_(PmfConvolveLattice|PmfSliceMixture|Precompute|PrecomputeArena|RefsimGnormWalk|RefSimValueLevel|Evaluate|SearchHundredMappings|MapperSample|NestAnalysis)$}"
 REPORT="${BENCH_REPORT:-${BUILD_DIR}/bench_compare_report.txt}"
 
 BASELINE=""
@@ -109,13 +111,17 @@ if bt.lower() != "release":
                  "numbers may not be apples-to-apples")
 
 regressions = []
+missing = []
 gated_seen = 0
 rows = []
 for name in sorted(set(base) | set(cur)):
     gated = bool(gate.match(name))
     if name not in cur:
-        rows.append((name, base[name], None, None, gated,
-                     "missing from current run"))
+        verdict = "missing from current run"
+        if gated:
+            verdict = "MISSING"
+            missing.append(name)
+        rows.append((name, base[name], None, None, gated, verdict))
         continue
     if name not in base:
         rows.append((name, None, cur[name], None, gated,
@@ -150,6 +156,16 @@ for name, b, c, delta, gated, verdict in rows:
 if gated_seen == 0:
     lines.append("ERROR: no gated kernel present in both snapshots — "
                  "gate regex or snapshots are misconfigured")
+if missing:
+    lines.append("")
+    lines.append(f"FAIL: {len(missing)} gated kernel(s) in the baseline "
+                 "are missing from the current run (renamed, deleted "
+                 "or filtered out):")
+    for name in missing:
+        lines.append(f"  {name}")
+    lines.append("If the kernel was removed on purpose, take it out of "
+                 "BENCH_GATE_REGEX and commit a new snapshot with "
+                 "scripts/bench_snapshot.sh.")
 if regressions:
     lines.append("")
     lines.append(f"FAIL: {len(regressions)} gated kernel(s) regressed "
@@ -162,7 +178,7 @@ if regressions:
                  "BENCH_<date>.json alongside the change; in CI, apply "
                  "the 'perf-regression-accepted' label to the PR and "
                  "note the justification in the description.")
-else:
+elif not missing:
     lines.append("")
     lines.append("OK: all gated kernels within tolerance")
 
@@ -172,5 +188,5 @@ with open(report_path, "w") as f:
     f.write(text)
 if gated_seen == 0:
     sys.exit(2)
-sys.exit(1 if regressions else 0)
+sys.exit(1 if regressions or missing else 0)
 EOF

@@ -40,7 +40,7 @@ namespace cimloop {
 class Arena
 {
   public:
-    /** Minimum alignment of every allocation (AVX-friendly). */
+    /** Minimum alignment of every allocation. */
     static constexpr std::size_t kMinAlign = 32;
 
     /** @p initial_bytes sizes the first chunk; 0 defers until first use. */

@@ -5,7 +5,6 @@
 
 #include "cimloop/common/arena.hh"
 #include "cimloop/common/error.hh"
-#include "cimloop/dist/simd.hh"
 #include "cimloop/obs/obs.hh"
 
 namespace cimloop::dist {
@@ -90,20 +89,6 @@ mixtureLatticeBounds(const std::vector<Pmf>& parts, std::size_t total,
     lo = static_cast<std::int64_t>(min_v);
     hi = static_cast<std::int64_t>(max_v);
     return hi - lo < kMaxLatticeSpan;
-}
-
-/**
- * Pins which instruction path a lattice kernel ran on: golden-metrics
- * tests assert this counter, so a host (or CIMLOOP_SIMD override) that
- * silently fell back to the portable kernels fails the golden diff
- * instead of passing with different code under test.
- */
-void
-countSimdLatticeOp()
-{
-    static obs::Counter& simd_ops = obs::counter("dist.simd_lattice_ops");
-    if (simd::activeBackend() == simd::Backend::Avx2)
-        simd_ops.add();
 }
 
 } // namespace
@@ -312,12 +297,10 @@ Pmf::convolveWith(const Pmf& other, std::size_t max_points) const
         (ahi - alo) + (bhi - blo) < kMaxLatticeSpan &&
         denseEnough(blo, bhi, other.points_.size())) {
         lattice.add();
-        countSimdLatticeOp();
         // Dense integer-lattice kernel: densify the second operand, then
         // each point of the first contributes one contiguous axpy over
         // the flat array — no point-pair list, no sort/merge. Both flat
-        // arrays are arena scratch; the axpy runs on the SIMD backend
-        // (elementwise mul+add, bit-identical to the scalar loop).
+        // arrays are arena scratch.
         const std::size_t bspan = static_cast<std::size_t>(bhi - blo) + 1;
         const std::size_t span =
             static_cast<std::size_t>((ahi - alo) + (bhi - blo)) + 1;
@@ -330,8 +313,9 @@ Pmf::convolveWith(const Pmf& other, std::size_t max_points) const
         double* acc = arena.alloc<double>(span);
         std::fill_n(acc, span, 0.0);
         for (const Point& a : points_) {
-            simd::axpy(acc + (static_cast<std::int64_t>(a.value) - alo),
-                       pb, a.prob, bspan);
+            double* dst = acc + (static_cast<std::int64_t>(a.value) - alo);
+            for (std::size_t j = 0; j < bspan; ++j)
+                dst[j] += a.prob * pb[j];
         }
         const std::int64_t lo = alo + blo;
         out.points_.reserve(std::min(span, max_points * 2));
@@ -376,10 +360,10 @@ Pmf::downsample(std::size_t max_points)
     Arena& arena = scratchArena();
     while (points_.size() > max_points) {
         ArenaScope scope(arena);
-        countSimdLatticeOp();
         const std::size_t n = points_.size();
         double* gaps = arena.alloc<double>(n - 1);
-        simd::adjacentGaps(points_.data(), n, gaps);
+        for (std::size_t i = 0; i + 1 < n; ++i)
+            gaps[i] = points_[i + 1].value - points_[i].value;
         double* order = arena.alloc<double>(n - 1);
         std::copy(gaps, gaps + (n - 1), order);
         double* mid = order + (n - 1) / 2;
@@ -438,7 +422,6 @@ Pmf::mixture(const std::vector<Pmf>& parts)
     if (mixtureLatticeBounds(parts, total, lo, hi) &&
         denseEnough(lo, hi, total)) {
         lattice.add();
-        countSimdLatticeOp();
         // Single-pass dense kernel: accumulate every component straight
         // into one flat lattice array — no intermediate scaled-point
         // list. Each addend is the same pt.prob * w the concat route
@@ -484,10 +467,10 @@ Pmf::normalize()
         total += pt.prob;
     if (total <= 0.0)
         CIM_FATAL("cannot normalize PMF with zero total probability");
-    // The total stays a serial reduction (its order is part of the byte
-    // contract); the division is elementwise and runs on the SIMD
-    // backend, each prob divided by the same total either way.
-    simd::divProbs(points_.data(), points_.size(), total);
+    // The total is a serial reduction: its order is part of the byte
+    // contract.
+    for (Point& pt : points_)
+        pt.prob /= total;
 }
 
 double

@@ -8,7 +8,7 @@
 #include "cimloop/common/parallel.hh"
 #include "cimloop/common/util.hh"
 #include "cimloop/dist/encoding.hh"
-#include "cimloop/dist/simd.hh"
+#include "cimloop/dist/reduce.hh"
 #include "cimloop/faults/faults.hh"
 #include "cimloop/models/tech.hh"
 #include "cimloop/obs/obs.hh"
@@ -19,7 +19,6 @@ using dist::EncodedTensor;
 using dist::Pmf;
 using workload::Dim;
 using workload::Layer;
-namespace simd = dist::simd;
 
 namespace {
 
@@ -356,14 +355,13 @@ simulateVector(const RefSimConfig& config, const Physics& phys,
         // so hoist them out of the column loops.
         const auto tile_len = static_cast<std::size_t>(c1 - c0);
         for (std::int64_t ib = 0; ib < shape.ib; ++ib)
-            sum_x2[ib] = simd::sum(&xn2[ib * shape.c_total] + c0, tile_len);
+            sum_x2[ib] = dist::sum(&xn2[ib * shape.c_total] + c0, tile_len);
 
         for (std::int64_t k = 0; k < shape.k_total; ++k) {
             for (std::int64_t wb = 0; wb < shape.wb; ++wb) {
                 // Slice-major conductance row: contiguous in c, so the
-                // dot products run as explicit 4-lane SIMD kernels with
-                // the fixed blocked association from simd.hh — the same
-                // bytes on either backend and at any thread count.
+                // dot products stream it under the fixed association
+                // from reduce.hh — the same bytes at any thread count.
                 const double* g =
                     &g_norm[(k * shape.wb + wb) * shape.c_total];
                 double acc_s = 0.0; // accumulated across cycles
@@ -373,10 +371,10 @@ simulateVector(const RefSimConfig& config, const Physics& phys,
                     double dot_s = 0.0; // sum x*g (ADC input)
                     double dot_e = 0.0; // sum x^2*g (cells)
                     if (unit_levels) {
-                        dot_s = simd::dot(xs + c0, g + c0, tile_len);
+                        dot_s = dist::dot(xs + c0, g + c0, tile_len);
                         dot_e = dot_s;
                     } else {
-                        simd::dotPair(xs + c0, xs2 + c0, g + c0, tile_len,
+                        dist::dotPair(xs + c0, xs2 + c0, g + c0, tile_len,
                                       dot_s, dot_e);
                     }
                     // Cell energy, exact over the tile.

@@ -1,5 +1,6 @@
 #include "cimloop/serve/server.hh"
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdlib>
@@ -30,6 +31,15 @@ struct ServerContext
     /** Process-level token: SIGINT/SIGTERM cancel it (reason Signal);
      *  connection threads and request monitors poll it. */
     CancelToken token;
+};
+
+/** A connection thread and the flag it raises as it finishes, so the
+ *  accept loop can join it then instead of holding its stack until
+ *  shutdown. */
+struct Connection
+{
+    std::thread thread;
+    std::shared_ptr<std::atomic<bool>> done;
 };
 
 /** send() the whole buffer; MSG_NOSIGNAL so a vanished client yields
@@ -319,8 +329,14 @@ runServe(const std::vector<std::string>& args, std::ostream& out,
 
     installSignalCancel(ctx.token);
 
-    std::vector<std::thread> connections;
+    std::vector<Connection> connections;
     for (;;) {
+        std::erase_if(connections, [](Connection& c) {
+            if (!c.done->load(std::memory_order_acquire))
+                return false;
+            c.thread.join();
+            return true;
+        });
         if (ctx.state.shutdownRequested.load(std::memory_order_acquire) ||
             ctx.token.cancelled())
             break;
@@ -342,15 +358,19 @@ runServe(const std::vector<std::string>& args, std::ostream& out,
         client->clientId =
             ctx.state.clientsTotal.fetch_add(1, std::memory_order_relaxed) +
             1;
-        connections.emplace_back([&ctx, fd, client] {
+        Connection conn;
+        conn.done = std::make_shared<std::atomic<bool>>(false);
+        conn.thread = std::thread([&ctx, fd, client, done = conn.done] {
             serveConnection(ctx, fd, client);
             ::close(fd);
+            done->store(true, std::memory_order_release);
         });
+        connections.push_back(std::move(conn));
     }
 
     ::close(listen_fd);
-    for (std::thread& t : connections)
-        t.join();
+    for (Connection& c : connections)
+        c.thread.join();
     uninstallSignalCancel();
     ::unlink(path.c_str());
 

@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "cimloop/common/util.hh"
-#include "cimloop/dist/simd.hh"
+#include "cimloop/dist/reduce.hh"
 
 namespace cimloop::dist {
 namespace {
@@ -316,119 +316,19 @@ TEST(PmfProperty, VarianceIsNonNegative)
 }
 
 // ---------------------------------------------------------------------
-// SIMD bit-identity: the AVX2 and portable kernels must produce
-// byte-identical Pmfs (EXACT double equality, not tolerance) across the
-// same randomized generators the invariant suite uses. This is the
-// contract that lets goldens stay byte-stable whichever backend runs.
+// Exact-equality checks (EXPECT_EQ on doubles, no ULP slack): the
+// byte-stable goldens rest on these.
 // ---------------------------------------------------------------------
 
-/** Runs @p fn with the SIMD backend forced to @p b, then re-detects. */
-template <typename Fn>
-auto
-runUnder(simd::Backend b, Fn&& fn)
-{
-    simd::setBackend(b);
-    auto result = fn();
-    simd::resetBackend();
-    return result;
-}
-
 void
-expectBitIdentical(const Pmf& portable, const Pmf& avx2, int case_i)
+expectBitIdentical(const Pmf& want, const Pmf& got, int case_i)
 {
-    ASSERT_EQ(portable.size(), avx2.size()) << "case " << case_i;
-    for (std::size_t i = 0; i < portable.size(); ++i) {
-        // EXPECT_EQ on doubles: exact equality, no ULP slack.
-        EXPECT_EQ(portable.points()[i].value, avx2.points()[i].value)
+    ASSERT_EQ(want.size(), got.size()) << "case " << case_i;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(want.points()[i].value, got.points()[i].value)
             << "case " << case_i << " index " << i;
-        EXPECT_EQ(portable.points()[i].prob, avx2.points()[i].prob)
+        EXPECT_EQ(want.points()[i].prob, got.points()[i].prob)
             << "case " << case_i << " index " << i;
-    }
-}
-
-#define SKIP_WITHOUT_AVX2()                                               \
-    if (!simd::avx2Supported())                                           \
-    GTEST_SKIP() << "AVX2 unavailable on this CPU/build"
-
-TEST(PmfSimdProperty, FromPointsBitIdenticalAcrossBackends)
-{
-    SKIP_WITHOUT_AVX2();
-    for (int c = 0; c < kCases; ++c) {
-        auto build = [&](simd::Backend b) {
-            return runUnder(b, [&] {
-                Rng rng = Rng::forStream(kSuiteSeed + 14,
-                                         static_cast<std::uint64_t>(c));
-                return (c % 2 == 0)
-                    ? Pmf::fromPoints(randomIntegerPoints(rng))
-                    : Pmf::fromPoints(randomRealPoints(rng));
-            });
-        };
-        expectBitIdentical(build(simd::Backend::Portable),
-                           build(simd::Backend::Avx2), c);
-    }
-}
-
-TEST(PmfSimdProperty, ConvolveBitIdenticalAcrossBackends)
-{
-    SKIP_WITHOUT_AVX2();
-    // Odd cases cap the support at 8 points, so the downsample gap
-    // kernel (adjacentGaps) is exercised along with the convolve axpy.
-    for (int c = 0; c < kCases; ++c) {
-        auto build = [&](simd::Backend b) {
-            return runUnder(b, [&] {
-                Rng rng = Rng::forStream(kSuiteSeed + 15,
-                                         static_cast<std::uint64_t>(c));
-                Pmf a = randomIntegerPmf(rng);
-                Pmf bb = randomIntegerPmf(rng);
-                return (c % 2 == 0) ? a.convolveWith(bb)
-                                    : a.convolveWith(bb, 8);
-            });
-        };
-        expectBitIdentical(build(simd::Backend::Portable),
-                           build(simd::Backend::Avx2), c);
-    }
-}
-
-TEST(PmfSimdProperty, ConvolveFallbackBitIdenticalAcrossBackends)
-{
-    SKIP_WITHOUT_AVX2();
-    // Off-lattice operands route through the untouched sort-merge
-    // fallback; only normalize/downsample touch SIMD kernels there.
-    for (int c = 0; c < kCases; ++c) {
-        auto build = [&](simd::Backend b) {
-            return runUnder(b, [&] {
-                Rng rng = Rng::forStream(kSuiteSeed + 16,
-                                         static_cast<std::uint64_t>(c));
-                Pmf a = Pmf::fromPoints(randomRealPoints(rng));
-                Pmf bb = Pmf::fromPoints(randomRealPoints(rng));
-                return a.convolveWith(bb, 16);
-            });
-        };
-        expectBitIdentical(build(simd::Backend::Portable),
-                           build(simd::Backend::Avx2), c);
-    }
-}
-
-TEST(PmfSimdProperty, MixtureBitIdenticalAcrossBackends)
-{
-    SKIP_WITHOUT_AVX2();
-    for (int c = 0; c < kCases; ++c) {
-        auto build = [&](simd::Backend b) {
-            return runUnder(b, [&] {
-                Rng rng = Rng::forStream(kSuiteSeed + 17,
-                                         static_cast<std::uint64_t>(c));
-                std::vector<Pmf> parts;
-                const std::size_t k = 1 + rng.below(6);
-                for (std::size_t i = 0; i < k; ++i)
-                    parts.push_back(
-                        (c % 3 == 0)
-                            ? Pmf::fromPoints(randomRealPoints(rng))
-                            : randomIntegerPmf(rng));
-                return Pmf::mixture(parts);
-            });
-        };
-        expectBitIdentical(build(simd::Backend::Portable),
-                           build(simd::Backend::Avx2), c);
     }
 }
 
@@ -436,7 +336,6 @@ TEST(PmfSimdProperty, MixtureLatticePathMatchesConcatReference)
 {
     // The single-pass dense mixture must reproduce the old
     // concat-then-fromPoints result exactly (same addends, same order).
-    // Backend-independent, so it also runs on non-AVX2 hosts.
     for (int c = 0; c < kCases; ++c) {
         Rng rng = Rng::forStream(kSuiteSeed + 18,
                                  static_cast<std::uint64_t>(c));
@@ -456,68 +355,44 @@ TEST(PmfSimdProperty, MixtureLatticePathMatchesConcatReference)
     }
 }
 
-TEST(PmfSimdProperty, RawKernelsBitIdenticalAcrossBackends)
+TEST(DistReduce, PinsFourAccumulatorAssociation)
 {
-    SKIP_WITHOUT_AVX2();
-    // Kernel-level check across lengths 0..40 (covers every tail
-    // residue) with random data: both backends must agree exactly on
-    // elementwise kernels AND on the fixed-association reductions.
-    for (int c = 0; c < kCases; ++c) {
-        Rng rng = Rng::forStream(kSuiteSeed + 19,
-                                 static_cast<std::uint64_t>(c));
-        const std::size_t n = rng.below(41);
-        std::vector<double> x(n), x2(n), g(n), dst_p(n), dst_a(n);
-        std::vector<Pmf::Point> pts_p(n), pts_a(n);
+    // reduce.hh's contract, written out: lane l accumulates elements
+    // l, l+4, l+8, ... of the n - n % 4 blocked prefix; the lanes
+    // combine as (a0+a1)+(a2+a3); the tail is added serially. Every
+    // tail residue is covered, with random data.
+    Rng rng = Rng::forStream(kSuiteSeed + 19, 0);
+    for (std::size_t n = 0; n <= 67; ++n) {
+        std::vector<double> x(n), x2(n), g(n);
         for (std::size_t i = 0; i < n; ++i) {
             x[i] = rng.gaussian();
             x2[i] = x[i] * x[i];
             g[i] = rng.uniform();
-            dst_p[i] = dst_a[i] = rng.gaussian();
-            pts_p[i] = pts_a[i] = {rng.gaussian() * 100.0,
-                                   rng.uniform() + 1e-3};
         }
-        const double scale = rng.gaussian();
-        const double div = rng.uniform() + 0.5;
-
-        simd::setBackend(simd::Backend::Portable);
-        simd::axpy(dst_p.data(), x.data(), scale, n);
-        double sum_p = simd::sum(x.data(), n);
-        double dot_p = simd::dot(x.data(), g.data(), n);
-        double s_p = 0.0, e_p = 0.0;
-        simd::dotPair(x.data(), x2.data(), g.data(), n, s_p, e_p);
-        std::vector<double> gaps_p(n > 0 ? n : 1);
-        if (n > 0)
-            simd::adjacentGaps(pts_p.data(), n, gaps_p.data());
-        simd::scaleProbs(pts_p.data(), n, scale);
-        simd::divProbs(pts_p.data(), n, div);
-
-        simd::setBackend(simd::Backend::Avx2);
-        simd::axpy(dst_a.data(), x.data(), scale, n);
-        double sum_a = simd::sum(x.data(), n);
-        double dot_a = simd::dot(x.data(), g.data(), n);
-        double s_a = 0.0, e_a = 0.0;
-        simd::dotPair(x.data(), x2.data(), g.data(), n, s_a, e_a);
-        std::vector<double> gaps_a(n > 0 ? n : 1);
-        if (n > 0)
-            simd::adjacentGaps(pts_a.data(), n, gaps_a.data());
-        simd::scaleProbs(pts_a.data(), n, scale);
-        simd::divProbs(pts_a.data(), n, div);
-        simd::resetBackend();
-
-        EXPECT_EQ(sum_p, sum_a) << "case " << c << " n=" << n;
-        EXPECT_EQ(dot_p, dot_a) << "case " << c << " n=" << n;
-        EXPECT_EQ(s_p, s_a) << "case " << c << " n=" << n;
-        EXPECT_EQ(e_p, e_a) << "case " << c << " n=" << n;
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(dst_p[i], dst_a[i]) << "case " << c << " i=" << i;
-            EXPECT_EQ(pts_p[i].value, pts_a[i].value)
-                << "case " << c << " i=" << i;
-            EXPECT_EQ(pts_p[i].prob, pts_a[i].prob)
-                << "case " << c << " i=" << i;
-            if (i + 1 < n)
-                EXPECT_EQ(gaps_p[i], gaps_a[i])
-                    << "case " << c << " i=" << i;
+        const std::size_t blocked = n - n % 4;
+        double sa[4] = {0.0, 0.0, 0.0, 0.0};
+        double da[4] = {0.0, 0.0, 0.0, 0.0};
+        double ea[4] = {0.0, 0.0, 0.0, 0.0};
+        for (std::size_t j = 0; j < blocked; ++j) {
+            sa[j % 4] += x[j];
+            da[j % 4] += x[j] * g[j];
+            ea[j % 4] += x2[j] * g[j];
         }
+        double want_sum = (sa[0] + sa[1]) + (sa[2] + sa[3]);
+        double want_dot = (da[0] + da[1]) + (da[2] + da[3]);
+        double want_e = (ea[0] + ea[1]) + (ea[2] + ea[3]);
+        for (std::size_t j = blocked; j < n; ++j) {
+            want_sum += x[j];
+            want_dot += x[j] * g[j];
+            want_e += x2[j] * g[j];
+        }
+
+        EXPECT_EQ(sum(x.data(), n), want_sum) << "n=" << n;
+        EXPECT_EQ(dot(x.data(), g.data(), n), want_dot) << "n=" << n;
+        double s = -1.0, e = -1.0;
+        dotPair(x.data(), x2.data(), g.data(), n, s, e);
+        EXPECT_EQ(s, want_dot) << "n=" << n;
+        EXPECT_EQ(e, want_e) << "n=" << n;
     }
 }
 

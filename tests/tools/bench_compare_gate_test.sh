@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Self-test for scripts/bench_compare.sh using fixture snapshots: the
 # gate must pass matching runs, fail regressed ones (with REGRESSED in
-# the report), tolerate improvements, and error out when no gated
-# kernel is present. Registered in tests/CMakeLists.txt as
+# the report), tolerate improvements, fail when a gated kernel vanishes
+# from the current run (MISSING), and error out when no gated kernel is
+# present. Registered in tests/CMakeLists.txt as
 # `bench_compare_gate`, so tier-1 ctest exercises the gate itself.
 set -euo pipefail
 
@@ -90,5 +91,37 @@ BENCH_GATE_REGEX='^BM_DoesNotExist$' BENCH_REPORT="${TMP}/report_none.txt" \
     "${COMPARE}" -b "${TMP}/base.json" -c "${TMP}/same.json" \
     >/dev/null || rc=$?
 [ "${rc}" -eq 2 ] || fail "empty gate should exit 2, got ${rc}"
+
+# 6. A gated kernel in the baseline but absent from the current run
+#    fails with exit 1 and MISSING, even when every kernel that is
+#    present is within tolerance.
+write_names() { # path names...
+    local path="$1" sep="" name
+    shift
+    {
+        echo '{"context": {"cimloop_build_type": "release"}, "benchmarks": ['
+        for name in "$@"; do
+            printf '%s{"name": "%s", "run_type": "iteration",' \
+                "${sep}" "${name}"
+            printf ' "real_time": 1000, "time_unit": "ns"}\n'
+            sep=","
+        done
+        echo ']}'
+    } > "${path}"
+}
+write_names "${TMP}/two.json" BM_PmfConvolveLattice BM_Evaluate
+write_names "${TMP}/one.json" BM_Evaluate
+rc=0
+BENCH_REPORT="${TMP}/report_missing.txt" \
+    "${COMPARE}" -b "${TMP}/two.json" -c "${TMP}/one.json" \
+    >/dev/null || rc=$?
+[ "${rc}" -eq 1 ] || fail "missing gated kernel should exit 1, got ${rc}"
+grep -q 'BM_PmfConvolveLattice.*MISSING' "${TMP}/report_missing.txt" ||
+    fail "report does not mark the vanished gated kernel MISSING"
+# An ungated kernel may come and go freely.
+write_names "${TMP}/extra.json" BM_Evaluate BM_Ungated
+BENCH_REPORT="${TMP}/report_ungated.txt" \
+    "${COMPARE}" -b "${TMP}/extra.json" -c "${TMP}/one.json" \
+    >/dev/null || fail "a vanished ungated kernel should pass"
 
 echo "bench_compare_gate: all cases passed"

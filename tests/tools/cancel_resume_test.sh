@@ -19,8 +19,9 @@ fail() {
 
 # 32 points at chunk-size 1 gives the signal plenty of chunk boundaries
 # to land between, and the mapping budget makes each point slow enough
-# (~4 s serial total) that a 0.3 s-delayed SIGINT reliably arrives
-# mid-sweep. Deterministic seed: artifacts must be byte-stable.
+# (~4 s serial total) that a SIGINT sent as soon as the first chunk
+# commits reliably arrives mid-sweep. Deterministic seed: artifacts
+# must be byte-stable.
 SPEC="${TMP}/sweep.yaml"
 cat > "${SPEC}" <<EOF
 sweep:
@@ -53,16 +54,27 @@ for T in 1 8; do
         "${TMP}/clean_t${T}.csv" "${TMP}/clean_t${T}.json" ||
         fail "clean run (threads ${T}) failed"
 
-    # Interrupted leg: start in the background, let a few chunks land,
-    # then SIGINT once. The handler flips the token; the chunk in
-    # flight commits; the process exits 130.
+    # Interrupted leg: start in the background, wait (polling every
+    # 20 ms, at most 30 s) until the journal records its first chunk
+    # commit, then SIGINT once. The handler flips the token; the chunk
+    # in flight commits; the process exits 130.
     "${TOOL}" --sweep "${SPEC}" --seed 3 --threads "${T}" \
         --resume "${DIR}" --chunk-size 1 \
         --csv "${TMP}/interrupted_t${T}.csv" \
         --json "${TMP}/interrupted_t${T}.json" \
         > "${TMP}/interrupted_t${T}.out" 2>&1 &
     PID=$!
-    sleep 0.3
+    polls=0
+    until grep -q '^{"chunk":' "${DIR}/manifest.jsonl" 2>/dev/null; do
+        # A sweep that already exited is handled by the rc checks below.
+        kill -0 "${PID}" 2>/dev/null || break
+        polls=$((polls + 1))
+        if [ "${polls}" -gt 1500 ]; then
+            kill -KILL "${PID}" 2>/dev/null || true
+            fail "no chunk commit in the journal within 30 s (threads ${T})"
+        fi
+        sleep 0.02
+    done
     kill -INT "${PID}" 2>/dev/null || true
     rc=0
     wait "${PID}" || rc=$?

@@ -7,6 +7,8 @@
 #  - malformed lines get structured errors and never kill the daemon;
 #  - a timeout_s request exits 124 with a "deadline" error;
 #  - metrics exposes cache hit/miss growth across requests;
+#  - finished connections are reaped: 200 sequential pings must not
+#    grow the daemon's address space by a thread stack each;
 #  - a shutdown request stops the daemon with exit 0.
 # Registered in tests/CMakeLists.txt as `serve_e2e`; the built cimloop
 # and cimloop_client binaries come in as $1 and $2.
@@ -120,6 +122,24 @@ grep -q '"budget_bytes":67108864' "${TMP}/metrics.out" ||
 # The repeated evaluates above must have produced cross-request hits.
 hits="$(sed -n 's/.*"cache":{"hits":\([0-9]*\).*/\1/p' "${TMP}/metrics.out")"
 [ "${hits:-0}" -ge 1 ] || fail "no cross-request cache hits recorded"
+
+# --- Connection reaping: VmSize stays flat over 200 pings ------------
+vm_kb() {
+    sed -n 's/^VmSize:[[:space:]]*\([0-9]*\) kB$/\1/p' \
+        "/proc/${SERVER_PID}/status"
+}
+ping_once() {
+    echo '{"id":9,"kind":"ping"}' | "${CLIENT}" --socket "${SOCK}" \
+        > "${TMP}/reap_ping.out" || fail "ping $1 of 200 failed"
+}
+for i in $(seq 1 10); do ping_once "${i}"; done
+vm_start="$(vm_kb)"
+for i in $(seq 11 200); do ping_once "${i}"; done
+vm_end="$(vm_kb)"
+[ -n "${vm_start}" ] && [ -n "${vm_end}" ] ||
+    fail "cannot read VmSize from /proc/${SERVER_PID}/status"
+[ $((vm_end - vm_start)) -lt $((64 * 1024)) ] ||
+    fail "VmSize grew from ${vm_start} kB to ${vm_end} kB over 190 pings"
 
 # --- Graceful shutdown: exit 0, socket unlinked ----------------------
 echo '{"id":8,"kind":"shutdown"}' | "${CLIENT}" --socket "${SOCK}" \
