@@ -19,8 +19,8 @@
 #include "cimloop/dse/dse.hh"
 #include "cimloop/engine/evaluate.hh"
 #include "cimloop/faults/faults.hh"
+#include "cimloop/layout/bankconflict.hh"
 #include "cimloop/layout/layout.hh"
-#include "cimloop/models/bankconflict.hh"
 #include "cimloop/macros/macros.hh"
 #include "cimloop/obs/obs.hh"
 #include "cimloop/refsim/refsim.hh"
@@ -129,7 +129,7 @@ BM_BankConflictSlowdown(benchmark::State& state)
             node = i;
     }
     for (auto _ : state) {
-        benchmark::DoNotOptimize(models::bankConflictSlowdowns(
+        benchmark::DoNotOptimize(layout::bankConflictSlowdowns(
             resolved, benchArch().hierarchy, node, m));
     }
     state.SetItemsProcessed(state.iterations());

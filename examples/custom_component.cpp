@@ -35,6 +35,15 @@ class MziModulatorModel : public models::ComponentModel
         return "photonic MZI modulator; drive energy ~ sin^2 of level";
     }
 
+    // The engine decides what a component sees from its traits, not its
+    // class name: as an analog part, the modulator gets the same
+    // fault-perturbed weight codes as the built-in cell arrays.
+    models::ComponentTraits
+    traits() const override
+    {
+        return {.domain = models::Domain::Analog};
+    }
+
     models::ComponentEstimate
     estimate(const models::ComponentContext& ctx) const override
     {

@@ -383,23 +383,34 @@ buildArch(const CliOptions& opts)
 {
     engine::Arch arch;
     if (!opts.macroName.empty()) {
-        arch = macros::macroByName(opts.macroName);
+        // Through MacroParams, as sweeps build points: the builder sizes
+        // the DAC resolution and the output width from these flags.
+        macros::MacroParams p = macros::defaultsByName(opts.macroName);
+        if (opts.dacBits > 0)
+            p.dacBits = opts.dacBits;
+        if (opts.cellBits > 0)
+            p.cellBits = opts.cellBits;
+        if (opts.inputBits > 0)
+            p.inputBits = opts.inputBits;
+        if (opts.weightBits > 0)
+            p.weightBits = opts.weightBits;
+        arch = macros::macroByName(opts.macroName, p);
     } else {
         arch.name = opts.archPath;
         arch.hierarchy = spec::Hierarchy::fromFile(opts.archPath);
+        if (opts.dacBits > 0)
+            arch.rep.dacBits = opts.dacBits;
+        if (opts.cellBits > 0)
+            arch.rep.cellBits = opts.cellBits;
+        if (opts.inputBits > 0)
+            arch.rep.inputBits = opts.inputBits;
+        if (opts.weightBits > 0)
+            arch.rep.weightBits = opts.weightBits;
     }
     if (opts.technologyNm > 0.0)
         arch.technologyNm = opts.technologyNm;
     if (opts.voltage > 0.0)
         arch.supplyVoltage = opts.voltage;
-    if (opts.dacBits > 0)
-        arch.rep.dacBits = opts.dacBits;
-    if (opts.cellBits > 0)
-        arch.rep.cellBits = opts.cellBits;
-    if (opts.inputBits > 0)
-        arch.rep.inputBits = opts.inputBits;
-    if (opts.weightBits > 0)
-        arch.rep.weightBits = opts.weightBits;
     if (!opts.device.empty()) {
         const models::DevicePreset& preset =
             models::devicePreset(opts.device);

@@ -61,7 +61,7 @@ struct CliOptions
 
     double technologyNm = 0.0; //!< --tech NM (override; 0 = keep)
     double voltage = 0.0;      //!< --voltage V (0 = nominal)
-    int dacBits = 0;           //!< --dac-bits B (YAML archs; 0 = default)
+    int dacBits = 0;           //!< --dac-bits B (0 = default)
     int cellBits = 0;          //!< --cell-bits B
     int inputBits = 0;         //!< --input-bits B
     int weightBits = 0;        //!< --weight-bits B

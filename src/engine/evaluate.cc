@@ -18,8 +18,8 @@
 #include "cimloop/common/request_context.hh"
 #include "cimloop/common/util.hh"
 #include "cimloop/faults/faults.hh"
+#include "cimloop/layout/bankconflict.hh"
 #include "cimloop/layout/layout.hh"
-#include "cimloop/models/bankconflict.hh"
 #include "cimloop/obs/obs.hh"
 
 namespace cimloop::engine {
@@ -84,18 +84,11 @@ precompute(const Arch& arch, const workload::Layer& layer,
             arch.faults, wt_sliced.codes, wt_sliced.maxCode());
     }
 
-    models::PluginRegistry& registry = models::PluginRegistry::instance();
     table.nodes.reserve(arch.hierarchy.nodes.size());
 
     for (const spec::SpecNode& node : arch.hierarchy.nodes) {
-        std::string klass = node.klass.empty() ? "Wire" : node.klass;
-        std::string klass_lower = toLower(klass);
-        bool analog = klass_lower == "sramcell" ||
-                      klass_lower == "reramcell" ||
-                      klass_lower == "capacitormac" ||
-                      klass_lower == "analogadder" ||
-                      klass_lower == "analogaccumulator" ||
-                      klass_lower == "adc";
+        const models::ComponentModel& model = models::modelFor(node);
+        const models::ComponentTraits traits = model.traits();
 
         models::ComponentContext ctx;
         ctx.node = &node;
@@ -105,11 +98,13 @@ precompute(const Arch& arch, const workload::Layer& layer,
         // Input/weight traffic is counted in slice units everywhere (the
         // IB/WB dims are tensor-relevant), so every component sees the
         // per-slice representation; output traffic is whole partial
-        // words. The ADC digitizes column sums at its own resolution.
+        // words. A digitizing component (the ADC) sees column sums at
+        // its own resolution.
         ctx.tensors[kI] = in_sliced;
-        ctx.tensors[kW] = analog ? wt_faulty : wt_sliced;
+        ctx.tensors[kW] =
+            traits.domain == models::Domain::Analog ? wt_faulty : wt_sliced;
         ctx.tensors[kO] = out_full;
-        if (klass_lower == "adc") {
+        if (traits.digitizesOutput) {
             int res = static_cast<int>(node.attrInt("resolution", 8));
             ctx.tensors[kO] = dist::encodeOperands(
                 table.profile.outputs, dist::Encoding::Offset, res);
@@ -120,7 +115,7 @@ precompute(const Arch& arch, const workload::Layer& layer,
             }
         }
 
-        table.nodes.push_back(registry.require(klass).estimate(ctx));
+        table.nodes.push_back(model.estimate(ctx));
     }
     return table;
 }
@@ -452,7 +447,7 @@ evaluate(const Arch& arch, const PerActionTable& table,
         // demand (not its energy) scales by the per-tensor slowdown.
         double timed_actions = node_actions;
         if (layout && layout->any && layout->nodeAny(i)) {
-            spec::PerTensor<double> slow = models::bankConflictSlowdowns(
+            spec::PerTensor<double> slow = layout::bankConflictSlowdowns(
                 *layout, arch.hierarchy, i, mapping);
             timed_actions = 0.0;
             for (TensorKind t : workload::kAllTensors) {

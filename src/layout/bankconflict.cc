@@ -1,11 +1,11 @@
-#include "cimloop/models/bankconflict.hh"
+#include "cimloop/layout/bankconflict.hh"
 
 #include <algorithm>
 #include <vector>
 
 #include "cimloop/common/error.hh"
 
-namespace cimloop::models {
+namespace cimloop::layout {
 
 using workload::Dim;
 using workload::DimSizes;
@@ -37,10 +37,10 @@ foldRank(TensorKind t, Dim d, const DimSizes& below,
 } // namespace
 
 double
-bankConflictSlowdown(const layout::TensorLayout& tl, const DimSizes& below,
+bankConflictSlowdown(const TensorLayout& tl, const DimSizes& below,
                      const DimSizes& parallel)
 {
-    const std::vector<Dim> canonical = layout::tensorRankDims(tl.tensor);
+    const std::vector<Dim> canonical = tensorRankDims(tl.tensor);
 
     // Physical rank order: canonical ranks not listed stay outermost (in
     // canonical order); listed ranks move innermost, last listed fastest.
@@ -109,7 +109,7 @@ bankConflictSlowdown(const layout::TensorLayout& tl, const DimSizes& below,
 }
 
 spec::PerTensor<double>
-bankConflictSlowdowns(const layout::ResolvedLayout& layout,
+bankConflictSlowdowns(const ResolvedLayout& layout,
                       const spec::Hierarchy& hierarchy,
                       std::size_t node_index,
                       const mapping::Mapping& mapping)
@@ -135,7 +135,7 @@ bankConflictSlowdowns(const layout::ResolvedLayout& layout,
     }
 
     for (TensorKind t : workload::kAllTensors) {
-        const layout::TensorLayout* tl = layout.at(node_index, t);
+        const TensorLayout* tl = layout.at(node_index, t);
         if (tl)
             slow[spec::tensorIndex(t)] =
                 bankConflictSlowdown(*tl, below, parallel);
@@ -143,4 +143,4 @@ bankConflictSlowdowns(const layout::ResolvedLayout& layout,
     return slow;
 }
 
-} // namespace cimloop::models
+} // namespace cimloop::layout

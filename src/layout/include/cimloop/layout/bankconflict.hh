@@ -20,15 +20,15 @@
  * form, and exact for the affine access patterns the nest analysis
  * produces; slowdown 1.0 reproduces the idealized engine bit-for-bit.
  */
-#ifndef CIMLOOP_MODELS_BANKCONFLICT_HH
-#define CIMLOOP_MODELS_BANKCONFLICT_HH
+#ifndef CIMLOOP_LAYOUT_BANKCONFLICT_HH
+#define CIMLOOP_LAYOUT_BANKCONFLICT_HH
 
 #include "cimloop/layout/layout.hh"
 #include "cimloop/mapping/mapping.hh"
 #include "cimloop/spec/hierarchy.hh"
 #include "cimloop/workload/layer.hh"
 
-namespace cimloop::models {
+namespace cimloop::layout {
 
 /**
  * Slowdown (>= 1.0) of one tensor's accesses at one storage node.
@@ -40,7 +40,7 @@ namespace cimloop::models {
  *           factors of deeper nodes (R/S fold into P/Q for Inputs
  *           before calling; pass the raw per-dim factors here).
  */
-double bankConflictSlowdown(const layout::TensorLayout& tl,
+double bankConflictSlowdown(const TensorLayout& tl,
                             const workload::DimSizes& below,
                             const workload::DimSizes& parallel);
 
@@ -50,11 +50,11 @@ double bankConflictSlowdown(const layout::TensorLayout& tl,
  * there) get exactly 1.0.
  */
 spec::PerTensor<double>
-bankConflictSlowdowns(const layout::ResolvedLayout& layout,
+bankConflictSlowdowns(const ResolvedLayout& layout,
                       const spec::Hierarchy& hierarchy,
                       std::size_t node_index,
                       const mapping::Mapping& mapping);
 
-} // namespace cimloop::models
+} // namespace cimloop::layout
 
-#endif // CIMLOOP_MODELS_BANKCONFLICT_HH
+#endif // CIMLOOP_LAYOUT_BANKCONFLICT_HH

@@ -135,9 +135,10 @@ ResolvedLayout resolveLayout(const spec::Hierarchy& hierarchy,
                              const LayoutSpec& spec);
 
 /**
- * True when @p node can carry a physical layout: an SRAM or DRAM
- * component that stores at least one tensor. Cell arrays, registers and
- * pass-through components are not banked memories.
+ * True when @p node can carry a physical layout: a buffer or off-chip
+ * component (models::ComponentTraits::role) that stores at least one
+ * tensor. Cell arrays, registers and pass-through components are not
+ * banked memories.
  */
 bool layoutEligible(const spec::SpecNode& node);
 

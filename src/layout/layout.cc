@@ -4,7 +4,7 @@
 #include <sstream>
 
 #include "cimloop/common/error.hh"
-#include "cimloop/common/util.hh"
+#include "cimloop/models/component.hh"
 #include "cimloop/yaml/node.hh"
 #include "cimloop/yaml/parser.hh"
 
@@ -267,8 +267,8 @@ resolveLayout(const spec::Hierarchy& hierarchy, const LayoutSpec& spec)
 bool
 layoutEligible(const spec::SpecNode& node)
 {
-    std::string klass = toLower(node.klass);
-    if (klass != "sram" && klass != "dram")
+    const models::Role role = models::modelFor(node).traits().role;
+    if (role != models::Role::Buffer && role != models::Role::OffChip)
         return false;
     for (TensorKind t : workload::kAllTensors) {
         if (node.stores(t))

@@ -1,6 +1,7 @@
 #include "cimloop/models/component.hh"
 
 #include <algorithm>
+#include <mutex>
 
 #include "cimloop/common/error.hh"
 #include "cimloop/common/util.hh"
@@ -71,14 +72,20 @@ PluginRegistry::add(std::unique_ptr<ComponentModel> model)
 {
     CIM_ASSERT(model, "cannot register a null model");
     std::string key = toLower(model->className());
-    models[key] = std::move(model);
+    std::unique_lock lock(mutex_);
+    std::unique_ptr<ComponentModel>& slot = models[key];
+    if (slot)
+        retired_.push_back(std::move(slot));
+    slot = std::move(model);
     generation_.fetch_add(1, std::memory_order_relaxed);
 }
 
 const ComponentModel*
 PluginRegistry::find(const std::string& class_name) const
 {
-    auto it = models.find(toLower(class_name));
+    const std::string key = toLower(class_name);
+    std::shared_lock lock(mutex_);
+    auto it = models.find(key);
     return it == models.end() ? nullptr : it->second.get();
 }
 
@@ -97,6 +104,7 @@ std::vector<std::string>
 PluginRegistry::classNames() const
 {
     std::vector<std::string> names;
+    std::shared_lock lock(mutex_);
     names.reserve(models.size());
     for (const auto& [k, v] : models) {
         (void)k;
@@ -104,6 +112,13 @@ PluginRegistry::classNames() const
     }
     std::sort(names.begin(), names.end());
     return names;
+}
+
+const ComponentModel&
+modelFor(const spec::SpecNode& node)
+{
+    return PluginRegistry::instance().require(
+        node.klass.empty() ? "Wire" : node.klass);
 }
 
 } // namespace cimloop::models

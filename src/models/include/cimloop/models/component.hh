@@ -19,7 +19,9 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <shared_mutex>
 #include <string>
+#include <vector>
 
 #include "cimloop/dist/encoding.hh"
 #include "cimloop/models/tech.hh"
@@ -93,6 +95,33 @@ struct ComponentEstimate
     double staticPowerUw = 0.0;
 };
 
+/** Signal domain of a component's datapath. */
+enum class Domain { Digital, Analog };
+
+/** Where a component sits in the system (see ComponentTraits::role). */
+enum class Role { Compute, Buffer, OffChip, Interconnect };
+
+/**
+ * What kind of component a model handles. The engine, the system
+ * breakdown and the layout model read these instead of class names, so
+ * a user plug-in that states its traits is treated exactly like a
+ * built-in with the same traits.
+ */
+struct ComponentTraits
+{
+    /** Analog components see the fault-perturbed weight slices. */
+    Domain domain = Domain::Digital;
+
+    /** The system breakdown bucket; layouts apply to Buffer (on-chip
+     *  storage) and OffChip (backing store) components. */
+    Role role = Role::Compute;
+
+    /** The component digitizes analog column sums: it sees the output
+     *  offset-encoded at its `resolution` attribute (default 8), with
+     *  ADC faults applied. */
+    bool digitizesOutput = false;
+};
+
 /** Interface implemented by every plug-in model. */
 class ComponentModel
 {
@@ -108,13 +137,18 @@ class ComponentModel
     /** Computes per-action estimates for a component in context. */
     virtual ComponentEstimate estimate(const ComponentContext& ctx) const
         = 0;
+
+    /** What kind of component this is; a digital compute component
+     *  unless overridden. */
+    virtual ComponentTraits traits() const { return {}; }
 };
 
 /**
  * Registry of component models keyed by class name (case-insensitive).
  * Built-in plug-ins register at first use; user plug-ins can be added at
  * runtime (paper: "a simple plug-in interface that lets users define new
- * data-value-dependent energy models").
+ * data-value-dependent energy models"), also while other threads
+ * evaluate.
  */
 class PluginRegistry
 {
@@ -123,7 +157,9 @@ class PluginRegistry
     static PluginRegistry& instance();
 
     /** Registers a model; replaces any model with the same class name.
-     *  Bumps generation(). */
+     *  The replaced model stays alive for the registry's lifetime, so
+     *  references handed out by require() never dangle. Bumps
+     *  generation(). */
     void add(std::unique_ptr<ComponentModel> model);
 
     /** Number of add() calls so far. Per-action tables cached under one
@@ -145,9 +181,15 @@ class PluginRegistry
 
   private:
     PluginRegistry() = default;
+    mutable std::shared_mutex mutex_;
     std::map<std::string, std::unique_ptr<ComponentModel>> models;
+    std::vector<std::unique_ptr<ComponentModel>> retired_;
     std::atomic<std::uint64_t> generation_{0};
 };
+
+/** The registered model for @p node's class (a node without a class is
+ *  a structural "Wire"); fatal when the class is unknown. */
+const ComponentModel& modelFor(const spec::SpecNode& node);
 
 /** Registers all built-in plug-ins into @p registry (idempotent). */
 void registerBuiltinModels(PluginRegistry& registry);

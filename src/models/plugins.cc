@@ -28,6 +28,15 @@ constexpr int kI = tensorIndex(TensorKind::Input);
 constexpr int kW = tensorIndex(TensorKind::Weight);
 constexpr int kO = tensorIndex(TensorKind::Output);
 
+/** @name Traits of the built-ins that are not digital compute. @{ */
+constexpr ComponentTraits kAnalog{.domain = Domain::Analog};
+constexpr ComponentTraits kConverter{.domain = Domain::Analog,
+                                     .digitizesOutput = true};
+constexpr ComponentTraits kBuffer{.role = Role::Buffer};
+constexpr ComponentTraits kOffChip{.role = Role::OffChip};
+constexpr ComponentTraits kInterconnect{.role = Role::Interconnect};
+/** @} */
+
 /** Energy scale factor of the context's node relative to 65 nm. */
 double
 e65(const ComponentContext& ctx)
@@ -60,6 +69,7 @@ class AdcModel : public ComponentModel
 {
   public:
     std::string className() const override { return "ADC"; }
+    ComponentTraits traits() const override { return kConverter; }
 
     std::string
     description() const override
@@ -137,8 +147,10 @@ class DacModel : public ComponentModel
     {
         const EncodedTensor& in = ctx.tensors[kI];
         int bits = static_cast<int>(ctx.attrInt("resolution", in.bits));
-        CIM_ASSERT(bits >= 1 && bits <= 14, "DAC resolution out of range: ",
-                   bits);
+        if (bits < 1 || bits > 14) {
+            CIM_FATAL("DAC attribute 'resolution' must be within "
+                      "[1, 14], got ", bits);
+        }
         double e_unit_fj = ctx.attrDouble("unit_cap_energy_fj", 3.0);
         double e_base_fj = ctx.attrDouble("base_energy_fj_per_bit", 1.5);
         double value_term;
@@ -167,6 +179,7 @@ class SramCellModel : public ComponentModel
 {
   public:
     std::string className() const override { return "SRAMCell"; }
+    ComponentTraits traits() const override { return kAnalog; }
 
     std::string
     description() const override
@@ -206,6 +219,7 @@ class ReramCellModel : public ComponentModel
 {
   public:
     std::string className() const override { return "ReRAMCell"; }
+    ComponentTraits traits() const override { return kAnalog; }
 
     std::string
     description() const override
@@ -248,6 +262,7 @@ class AnalogAdderModel : public ComponentModel
 {
   public:
     std::string className() const override { return "AnalogAdder"; }
+    ComponentTraits traits() const override { return kAnalog; }
 
     std::string
     description() const override
@@ -261,8 +276,10 @@ class AnalogAdderModel : public ComponentModel
         const EncodedTensor& in = ctx.tensors[kI];
         const EncodedTensor& wt = ctx.tensors[kW];
         std::int64_t operands = ctx.attrInt("operands", 2);
-        CIM_ASSERT(operands >= 1 && operands <= 16,
-                   "analog adder operand count out of range: ", operands);
+        if (operands < 1 || operands > 16) {
+            CIM_FATAL("AnalogAdder attribute 'operands' must be within "
+                      "[1, 16], got ", operands);
+        }
         // Binary-weighted summation (operand i carries weight 2^i): the
         // capacitor array totals 2^N - 1 unit caps, so area AND charge
         // grow exponentially with operand count — why very wide analog
@@ -288,6 +305,7 @@ class AnalogAccumulatorModel : public ComponentModel
 {
   public:
     std::string className() const override { return "AnalogAccumulator"; }
+    ComponentTraits traits() const override { return kAnalog; }
 
     std::string
     description() const override
@@ -323,6 +341,7 @@ class CapacitorMacModel : public ComponentModel
 {
   public:
     std::string className() const override { return "CapacitorMac"; }
+    ComponentTraits traits() const override { return kAnalog; }
 
     std::string
     description() const override
@@ -454,6 +473,7 @@ class SramBufferModel : public ComponentModel
 {
   public:
     std::string className() const override { return "SRAM"; }
+    ComponentTraits traits() const override { return kBuffer; }
 
     std::string
     description() const override
@@ -466,8 +486,11 @@ class SramBufferModel : public ComponentModel
     {
         std::int64_t entries = ctx.attrInt("entries", 1024);
         std::int64_t width = ctx.attrInt("width", 64);
-        CIM_ASSERT(entries >= 1 && width >= 1,
-                   "SRAM needs positive entries/width");
+        if (entries < 1)
+            CIM_FATAL("SRAM attribute 'entries' must be >= 1, got ",
+                      entries);
+        if (width < 1)
+            CIM_FATAL("SRAM attribute 'width' must be >= 1, got ", width);
         double bits = static_cast<double>(entries * width);
         double word_pj =
             (0.012 * std::sqrt(bits) + 0.003 * width) * e65(ctx);
@@ -494,6 +517,7 @@ class DramModel : public ComponentModel
 {
   public:
     std::string className() const override { return "DRAM"; }
+    ComponentTraits traits() const override { return kOffChip; }
 
     std::string
     description() const override
@@ -523,6 +547,7 @@ class RouterModel : public ComponentModel
 {
   public:
     std::string className() const override { return "Router"; }
+    ComponentTraits traits() const override { return kInterconnect; }
 
     std::string
     description() const override

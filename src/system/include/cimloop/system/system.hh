@@ -62,9 +62,9 @@ engine::Arch buildSystem(const SystemParams& params);
 /** Energy grouped the way paper Fig. 15 reports it. */
 struct SystemBreakdown
 {
-    double offChipPj = 0.0;   //!< DRAM accesses
+    double offChipPj = 0.0;   //!< off-chip components (DRAM)
     double globalBufferPj = 0.0;
-    double onChipMovePj = 0.0; //!< routers + macro-local buffers
+    double onChipMovePj = 0.0; //!< interconnect + macro-local buffers
     double macroComputePj = 0.0; //!< DACs, cells, ADCs, digital
 
     double totalPj() const
@@ -73,7 +73,12 @@ struct SystemBreakdown
     }
 };
 
-/** Groups a layer evaluation's per-node energies into the Fig. 15 bins. */
+/**
+ * Groups a layer evaluation's per-node energies into the Fig. 15 bins by
+ * each node's models::ComponentTraits::role. The `global_buffer` node
+ * (buildSystem) and a macro's local `buffer` (macros::appendMacro) are
+ * binned by name.
+ */
 SystemBreakdown groupBreakdown(const engine::Arch& arch,
                                const engine::Evaluation& ev);
 

@@ -1,7 +1,7 @@
 #include "cimloop/system/system.hh"
 
 #include "cimloop/common/error.hh"
-#include "cimloop/common/util.hh"
+#include "cimloop/models/component.hh"
 #include "cimloop/spec/builder.hh"
 
 namespace cimloop::system {
@@ -100,13 +100,13 @@ groupBreakdown(const engine::Arch& arch, const engine::Evaluation& ev)
     for (std::size_t i = 0; i < arch.hierarchy.nodes.size(); ++i) {
         const spec::SpecNode& node = arch.hierarchy.nodes[i];
         double e = ev.nodeEnergyPj[i];
-        std::string klass = toLower(node.klass);
-        if (klass == "dram") {
+        const models::Role role = models::modelFor(node).traits().role;
+        if (role == models::Role::OffChip) {
             out.offChipPj += e;
         } else if (node.name == "global_buffer") {
             out.globalBufferPj += e;
-        } else if (klass == "router" ||
-                   (klass == "sram" && node.name == "buffer")) {
+        } else if (role == models::Role::Interconnect ||
+                   (role == models::Role::Buffer && node.name == "buffer")) {
             out.onChipMovePj += e;
         } else {
             out.macroComputePj += e;

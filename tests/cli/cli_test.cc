@@ -229,6 +229,63 @@ TEST(Run, DevicePresetFlag)
               1);
 }
 
+/** Field @p column of the first CSV row in @p path starting with
+ *  @p row_prefix; "" when there is none. */
+std::string
+csvField(const char* path, const std::string& row_prefix,
+         std::size_t column)
+{
+    std::ifstream csv(path);
+    std::string line;
+    while (std::getline(csv, line)) {
+        if (line.compare(0, row_prefix.size(), row_prefix) != 0)
+            continue;
+        std::istringstream fields(line);
+        std::string field;
+        for (std::size_t i = 0; i <= column; ++i)
+            std::getline(fields, field, ',');
+        return field;
+    }
+    return "";
+}
+
+TEST(Run, MacroBitFlagsBuildTheSameDesignAsASweepPoint)
+{
+    // --dac-bits on a built-in macro must size the DAC and the output
+    // width the way a sweep point with the same dac_bits does.
+    const char* spec_path = "/tmp/cimloop_cli_dac4.yaml";
+    const char* sweep_csv = "/tmp/cimloop_cli_dac4_sweep.csv";
+    const char* cli_csv = "/tmp/cimloop_cli_dac4_cli.csv";
+    {
+        std::ofstream f(spec_path);
+        f << "sweep:\n"
+             "  macro: base\n"
+             "  network: mvm\n"
+             "  mappings: 30\n"
+             "  seed: 1\n"
+             "  axes:\n"
+             "    - field: dac_bits\n"
+             "      values: [4]\n";
+    }
+    std::ostringstream out, err;
+    ASSERT_EQ(run({"--sweep", spec_path, "--csv", sweep_csv}, out, err), 0)
+        << err.str();
+    ASSERT_EQ(run({"--macro", "base", "--network", "mvm", "--dac-bits",
+                   "4", "--mappings", "30", "--seed", "1", "--csv",
+                   cli_csv},
+                  out, err),
+              0)
+        << err.str();
+    // energy_pj: column 3 of both the sweep's point row and the CLI's
+    // TOTAL row.
+    const std::string sweep_energy = csvField(sweep_csv, "0,4,ok,", 3);
+    ASSERT_FALSE(sweep_energy.empty());
+    EXPECT_EQ(csvField(cli_csv, "TOTAL,", 3), sweep_energy);
+    std::remove(spec_path);
+    std::remove(sweep_csv);
+    std::remove(cli_csv);
+}
+
 TEST(Parse, RefSimFlags)
 {
     CliOptions o = parse({"--refsim", "--network", "mvm",

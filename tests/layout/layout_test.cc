@@ -11,8 +11,8 @@
 
 #include "cimloop/common/error.hh"
 #include "cimloop/engine/evaluate.hh"
+#include "cimloop/layout/bankconflict.hh"
 #include "cimloop/macros/macros.hh"
-#include "cimloop/models/bankconflict.hh"
 #include "cimloop/workload/networks.hh"
 #include "cimloop/yaml/parser.hh"
 
@@ -210,7 +210,7 @@ TEST(BankConflict, LoneRequesterNeverConflicts)
     below[dimIndex(Dim::K)] = 64;
     DimSizes parallel = workload::onesDims();
     EXPECT_DOUBLE_EQ(
-        models::bankConflictSlowdown(tl, below, parallel), 1.0);
+        bankConflictSlowdown(tl, below, parallel), 1.0);
 }
 
 TEST(BankConflict, SingleBankSerializesAllRequesters)
@@ -225,7 +225,7 @@ TEST(BankConflict, SingleBankSerializesAllRequesters)
     parallel[dimIndex(Dim::K)] = 8;
     parallel[dimIndex(Dim::P)] = 2;
     EXPECT_DOUBLE_EQ(
-        models::bankConflictSlowdown(tl, below, parallel), 16.0);
+        bankConflictSlowdown(tl, below, parallel), 16.0);
 }
 
 TEST(BankConflict, FullySpreadBanksAreConflictFree)
@@ -238,7 +238,7 @@ TEST(BankConflict, FullySpreadBanksAreConflictFree)
     DimSizes parallel = workload::onesDims();
     parallel[dimIndex(Dim::K)] = 8;
     EXPECT_DOUBLE_EQ(
-        models::bankConflictSlowdown(tl, below, parallel), 1.0);
+        bankConflictSlowdown(tl, below, parallel), 1.0);
 }
 
 TEST(BankConflict, InterleaveGroupsRequestersIntoOneLine)
@@ -251,7 +251,7 @@ TEST(BankConflict, InterleaveGroupsRequestersIntoOneLine)
     DimSizes parallel = workload::onesDims();
     parallel[dimIndex(Dim::K)] = 8;
     EXPECT_DOUBLE_EQ(
-        models::bankConflictSlowdown(tl, below, parallel), 8.0);
+        bankConflictSlowdown(tl, below, parallel), 8.0);
 }
 
 TEST(BankConflict, RankOrderDecidesTheSpread)
@@ -268,11 +268,11 @@ TEST(BankConflict, RankOrderDecidesTheSpread)
 
     TensorLayout canonical{TensorKind::Weight, {}, 4, 1};
     EXPECT_DOUBLE_EQ(
-        models::bankConflictSlowdown(canonical, below, parallel), 4.0);
+        bankConflictSlowdown(canonical, below, parallel), 4.0);
 
     TensorLayout reordered{TensorKind::Weight, {Dim::K}, 4, 1};
     EXPECT_DOUBLE_EQ(
-        models::bankConflictSlowdown(reordered, below, parallel), 1.0);
+        bankConflictSlowdown(reordered, below, parallel), 1.0);
 }
 
 TEST(BankConflict, MoreBanksNeverSlowDown)
@@ -288,7 +288,7 @@ TEST(BankConflict, MoreBanksNeverSlowDown)
     double prev = 1e300;
     for (std::int64_t banks : {1, 2, 4, 8, 16, 32, 64}) {
         TensorLayout tl{TensorKind::Output, {Dim::K, Dim::P}, banks, 1};
-        double s = models::bankConflictSlowdown(tl, below, parallel);
+        double s = bankConflictSlowdown(tl, below, parallel);
         EXPECT_GE(s, 1.0);
         EXPECT_LE(s, prev) << banks << " banks";
         prev = s;
@@ -309,7 +309,7 @@ TEST(BankConflict, InputHaloFoldsRSIntoPQ)
     parallel[dimIndex(Dim::P)] = 2;
     parallel[dimIndex(Dim::R)] = 3;
     EXPECT_DOUBLE_EQ(
-        models::bankConflictSlowdown(tl, below, parallel), 6.0);
+        bankConflictSlowdown(tl, below, parallel), 6.0);
 }
 
 TEST(BankConflict, ConflictFreeLayoutReproducesIdealizedEngine)
@@ -333,7 +333,7 @@ TEST(BankConflict, ConflictFreeLayoutReproducesIdealizedEngine)
 
     int buffer = arch.hierarchy.indexOf("buffer");
     ASSERT_GE(buffer, 0);
-    spec::PerTensor<double> slow = models::bankConflictSlowdowns(
+    spec::PerTensor<double> slow = bankConflictSlowdowns(
         resolved, arch.hierarchy, static_cast<std::size_t>(buffer), m);
     for (double s : slow)
         ASSERT_DOUBLE_EQ(s, 1.0) << "fixture is not conflict-free";
