@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "cimloop/common/arena.hh"
 #include "cimloop/dist/encoding.hh"
 #include "cimloop/dist/pmf.hh"
 #include "cimloop/dist/reduce.hh"
@@ -269,29 +268,6 @@ BM_PmfSliceMixture(benchmark::State& state)
     }
 }
 BENCHMARK(BM_PmfSliceMixture);
-
-void
-BM_PrecomputeArena(benchmark::State& state)
-{
-    // The allocation pattern precompute drives through the thread arena:
-    // a scope, a few dense lattice arrays, rewind. Compare against
-    // BM_Precompute across snapshots for the end-to-end effect.
-    Arena& arena = scratchArena();
-    for (auto _ : state) {
-        ArenaScope scope(arena);
-        double* a = arena.alloc<double>(512);
-        double* b = arena.alloc<double>(1024);
-        double* c = arena.alloc<double>(4096);
-        a[0] = 1.0;
-        b[0] = 2.0;
-        c[0] = 3.0;
-        benchmark::DoNotOptimize(a);
-        benchmark::DoNotOptimize(b);
-        benchmark::DoNotOptimize(c);
-    }
-    state.SetItemsProcessed(state.iterations() * 3);
-}
-BENCHMARK(BM_PrecomputeArena);
 
 void
 BM_RefsimGnormWalk(benchmark::State& state)

@@ -27,7 +27,7 @@ BUILD_DIR="${BUILD_DIR:-build}"
 . scripts/bench_filter.sh
 FILTER="${FILTER:-${BENCH_DEFAULT_FILTER}}"
 TOLERANCE="${BENCH_TOLERANCE_PCT:-15}"
-GATE_REGEX="${BENCH_GATE_REGEX:-^BM_(PmfConvolveLattice|PmfSliceMixture|Precompute|PrecomputeArena|RefsimGnormWalk|RefSimValueLevel|Evaluate|SearchHundredMappings|MapperSample|NestAnalysis)$}"
+GATE_REGEX="${BENCH_GATE_REGEX:-^BM_(PmfConvolveLattice|PmfSliceMixture|Precompute|RefsimGnormWalk|RefSimValueLevel|Evaluate|SearchHundredMappings|MapperSample|NestAnalysis)$}"
 REPORT="${BENCH_REPORT:-${BUILD_DIR}/bench_compare_report.txt}"
 
 BASELINE=""

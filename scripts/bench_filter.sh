@@ -3,4 +3,4 @@
 # the same benchmarks: the precompute/refsim kernels, the search inner
 # loop (mapper sample, nest analysis, evaluate, whole searches), and the
 # obs/dse/layout benches. Override per run with FILTER.
-BENCH_DEFAULT_FILTER="Convolve|Precompute|RefSim|Gnorm|Arena|SliceMixture|Evaluate|Fault|Obs|Dse|BankConflict|CoSearch|Search|MapperSample|NestAnalysis"
+BENCH_DEFAULT_FILTER="Convolve|Precompute|RefSim|Gnorm|SliceMixture|Evaluate|Fault|Obs|Dse|BankConflict|CoSearch|Search|MapperSample|NestAnalysis"

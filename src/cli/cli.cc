@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <utility>
 
 #include "cimloop/common/error.hh"
 #include "cimloop/common/util.hh"
@@ -78,9 +79,13 @@ fixed mapping:
 
 reference simulation:
   --refsim             run the value-level reference simulator against
-                       the statistical model per layer (no --macro/--arch
-                       needed; honors --threads, --seed, and bit widths;
-                       results are bit-identical for any --threads)
+                       the statistical model per layer, on the base macro
+                       at nominal voltage (honors --threads, --seed,
+                       --tech, bit widths and faults; rejects --arch, a
+                       --macro other than base, --voltage, --device,
+                       --report, --csv, --ert, --mapping, --keep-going
+                       and layouts; results are bit-identical for any
+                       --threads)
   --refsim-vectors N   activation vectors sampled per layer (default 48;
                        0 simulates every vector)
 
@@ -352,10 +357,28 @@ parseArgs(const std::vector<std::string>& args)
             CIM_FATAL("--layout-search needs a mapping search; it cannot "
                       "be combined with --mapping");
         if (opts.refsim) {
-            // The reference simulator models the base macro directly; an
-            // architecture flag is allowed but not required.
-            if (!opts.macroName.empty() && !opts.archPath.empty())
-                CIM_FATAL("specify at most one of --macro or --arch");
+            // The reference simulator always models the base macro at
+            // nominal voltage and prints only its own table: a flag that
+            // would pick another architecture or add an output is an
+            // error, not a silent no-op.
+            const std::pair<bool, std::string> ignored[] = {
+                {!opts.archPath.empty(), "--arch"},
+                {!opts.macroName.empty() &&
+                     toLower(opts.macroName) != "base",
+                 "--macro " + opts.macroName},
+                {opts.voltage != 0.0, "--voltage"},
+                {!opts.device.empty(), "--device"},
+                {opts.report, "--report"},
+                {!opts.csvPath.empty(), "--csv"},
+                {!opts.ertPath.empty(), "--ert"},
+                {!opts.mappingPath.empty(), "--mapping"},
+                {opts.keepGoing, "--keep-going"},
+            };
+            for (const auto& [given, flag] : ignored) {
+                if (given)
+                    CIM_FATAL("--refsim simulates only the base macro at "
+                              "nominal voltage; remove ", flag);
+            }
             if (opts.refsimVectors < 0)
                 CIM_FATAL("--refsim-vectors must be >= 0 (0 = all)");
             if (!opts.layoutPath.empty() || opts.layoutSearch)
@@ -543,6 +566,19 @@ runRefSim(const CliOptions& opts, const faults::FaultModel& fault_model,
     return 0;
 }
 
+/** Writes @p text to @p path and says so on @p out; fatal when the file
+ *  cannot be opened. @p what names the artifact in the error. */
+void
+writeArtifact(const std::string& path, const char* what,
+              const std::string& text, std::ostream& out)
+{
+    std::ofstream f(path);
+    if (!f)
+        CIM_FATAL("cannot write ", what, " to '", path, "'");
+    f << text;
+    out << "wrote " << path << "\n";
+}
+
 /**
  * Arms span timing (and tracing) for one run and guarantees both are
  * off again when the run leaves scope, whatever path it exits on, so a
@@ -589,20 +625,10 @@ runSweepCli(const CliOptions& opts, const CancelToken& token,
     dse::SweepResult result = dse::runSweep(spec, sweep_opts);
     out << dse::formatTable(result);
 
-    if (!opts.csvPath.empty()) {
-        std::ofstream csv(opts.csvPath);
-        if (!csv)
-            CIM_FATAL("cannot write CSV to '", opts.csvPath, "'");
-        csv << dse::toCsv(result);
-        out << "wrote " << opts.csvPath << "\n";
-    }
-    if (!opts.jsonPath.empty()) {
-        std::ofstream json(opts.jsonPath);
-        if (!json)
-            CIM_FATAL("cannot write JSON to '", opts.jsonPath, "'");
-        json << dse::toJson(result);
-        out << "wrote " << opts.jsonPath << "\n";
-    }
+    if (!opts.csvPath.empty())
+        writeArtifact(opts.csvPath, "CSV", dse::toCsv(result), out);
+    if (!opts.jsonPath.empty())
+        writeArtifact(opts.jsonPath, "JSON", dse::toJson(result), out);
     if (result.stoppedEarly) {
         if (result.cancelled) {
             out << "sweep cancelled ("
@@ -663,24 +689,15 @@ cancelExitCode(CancelReason reason)
 void
 emitObservability(const CliOptions& opts, std::ostream& out)
 {
-    if (!opts.tracePath.empty()) {
-        std::ofstream trace(opts.tracePath);
-        if (!trace)
-            CIM_FATAL("cannot write trace to '", opts.tracePath, "'");
-        trace << obs::traceJson();
-        out << "wrote " << opts.tracePath << "\n";
-    }
+    if (!opts.tracePath.empty())
+        writeArtifact(opts.tracePath, "trace", obs::traceJson(), out);
     if (opts.metrics) {
         obs::MetricsSnapshot snap = obs::snapshot();
         if (opts.metricsPath.empty()) {
             out << "\n" << obs::summaryTable(snap);
         } else {
-            std::ofstream mf(opts.metricsPath);
-            if (!mf)
-                CIM_FATAL("cannot write metrics to '", opts.metricsPath,
-                          "'");
-            mf << obs::metricsJson(snap);
-            out << "wrote " << opts.metricsPath << "\n";
+            writeArtifact(opts.metricsPath, "metrics",
+                          obs::metricsJson(snap), out);
         }
     }
 }
@@ -860,11 +877,8 @@ runParsed(const CliOptions& opts, const CancelToken& token,
         if (!opts.ertPath.empty()) {
             engine::PerActionTable table =
                 engine::precompute(arch, net.layers.front());
-            std::ofstream ert(opts.ertPath);
-            if (!ert)
-                CIM_FATAL("cannot write ERT to '", opts.ertPath, "'");
-            ert << engine::toYamlErt(arch, table);
-            out << "wrote " << opts.ertPath << "\n";
+            writeArtifact(opts.ertPath, "ERT",
+                          engine::toYamlErt(arch, table), out);
         }
 
         if (opts.report) {
@@ -891,13 +905,8 @@ runParsed(const CliOptions& opts, const CancelToken& token,
                       ev.latencyNs / 1e6);
         out << line;
 
-        if (!opts.csvPath.empty()) {
-            std::ofstream csv(opts.csvPath);
-            if (!csv)
-                CIM_FATAL("cannot write CSV to '", opts.csvPath, "'");
-            csv << engine::toCsv(ev, net);
-            out << "wrote " << opts.csvPath << "\n";
-        }
+        if (!opts.csvPath.empty())
+            writeArtifact(opts.csvPath, "CSV", engine::toCsv(ev, net), out);
 
         emitObservability(opts, out);
         // Keep-going runs absorb cancellation into "cancelled"

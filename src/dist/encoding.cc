@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "cimloop/common/arena.hh"
 #include "cimloop/common/error.hh"
 #include "cimloop/common/util.hh"
 
@@ -109,10 +108,6 @@ EncodedTensor::slices(int slice_bits) const
 EncodedTensor
 sliceMixture(const EncodedTensor& full, int slice_bits)
 {
-    // Slicing and mixing allocate a burst of short-lived Pmfs; scope the
-    // thread's arena so the nested lattice kernels' scratch is rewound
-    // when the mixture is done.
-    ArenaScope scratch(scratchArena());
     std::vector<EncodedTensor> slices = full.slices(slice_bits);
     CIM_ASSERT(!slices.empty(), "slicing produced no slices");
     EncodedTensor mix = slices.front();

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
-#include "cimloop/common/arena.hh"
 #include "cimloop/common/error.hh"
 #include "cimloop/obs/obs.hh"
 
@@ -64,31 +64,37 @@ denseEnough(std::int64_t lo, std::int64_t hi, std::size_t n_points)
  * fromPoints route would have taken the lattice path.
  */
 bool
-mixtureLatticeBounds(const std::vector<Pmf>& parts, std::size_t total,
-                     std::int64_t& lo, std::int64_t& hi)
+mixtureLatticeBounds(const std::vector<Pmf>& parts, std::int64_t& lo,
+                     std::int64_t& hi)
 {
-    if (total == 0)
-        return false;
     bool first = true;
-    double min_v = 0.0;
-    double max_v = 0.0;
     for (const Pmf& part : parts) {
-        for (const Pmf::Point& pt : part.points()) {
-            double v = pt.value;
-            if (!(std::abs(v) <= 0x1p53) || v != std::floor(v))
-                return false;
-            if (first) {
-                min_v = max_v = v;
-                first = false;
-            } else {
-                min_v = std::min(min_v, v);
-                max_v = std::max(max_v, v);
-            }
-        }
+        if (part.empty())
+            continue;
+        std::int64_t part_lo = 0, part_hi = 0;
+        if (!latticeBounds(part.points(), part_lo, part_hi))
+            return false;
+        lo = first ? part_lo : std::min(lo, part_lo);
+        hi = first ? part_hi : std::max(hi, part_hi);
+        first = false;
     }
-    lo = static_cast<std::int64_t>(min_v);
-    hi = static_cast<std::int64_t>(max_v);
-    return hi - lo < kMaxLatticeSpan;
+    return !first && hi - lo < kMaxLatticeSpan;
+}
+
+/**
+ * Appends the nonzero cells of the dense lattice array @p acc, whose
+ * cell 0 holds value @p lo, to @p out in value order.
+ */
+void
+appendLatticePoints(const std::vector<double>& acc, std::int64_t lo,
+                    std::vector<Pmf::Point>& out)
+{
+    for (std::size_t i = 0; i < acc.size(); ++i) {
+        if (acc[i] != 0.0)
+            out.push_back(
+                {static_cast<double>(lo + static_cast<std::int64_t>(i)),
+                 acc[i]});
+    }
 }
 
 } // namespace
@@ -126,22 +132,12 @@ Pmf::fromPoints(std::vector<Point> pts)
         lattice.add();
         // Integer-lattice fast path: merge duplicates through a dense
         // probability array (no sort; output is sorted by construction).
-        // The array is per-call scratch, so it lives in the thread's
-        // arena instead of hitting the global allocator.
-        Arena& arena = scratchArena();
-        ArenaScope scope(arena);
         const std::size_t span = static_cast<std::size_t>(hi - lo) + 1;
-        double* acc = arena.alloc<double>(span);
-        std::fill_n(acc, span, 0.0);
+        std::vector<double> acc(span);
         for (const Point& pt : pts)
             acc[static_cast<std::int64_t>(pt.value) - lo] += pt.prob;
         p.points_.reserve(pts.size());
-        for (std::size_t i = 0; i < span; ++i) {
-            if (acc[i] != 0.0)
-                p.points_.push_back(
-                    {static_cast<double>(lo + static_cast<std::int64_t>(i)),
-                     acc[i]});
-        }
+        appendLatticePoints(acc, lo, p.points_);
     } else {
         fallback.add();
         p.points_ = std::move(pts);
@@ -299,32 +295,22 @@ Pmf::convolveWith(const Pmf& other, std::size_t max_points) const
         lattice.add();
         // Dense integer-lattice kernel: densify the second operand, then
         // each point of the first contributes one contiguous axpy over
-        // the flat array — no point-pair list, no sort/merge. Both flat
-        // arrays are arena scratch.
+        // the flat array — no point-pair list, no sort/merge.
         const std::size_t bspan = static_cast<std::size_t>(bhi - blo) + 1;
         const std::size_t span =
             static_cast<std::size_t>((ahi - alo) + (bhi - blo)) + 1;
-        Arena& arena = scratchArena();
-        ArenaScope scope(arena);
-        double* pb = arena.alloc<double>(bspan);
-        std::fill_n(pb, bspan, 0.0);
+        std::vector<double> pb(bspan);
         for (const Point& b : other.points_)
             pb[static_cast<std::int64_t>(b.value) - blo] += b.prob;
-        double* acc = arena.alloc<double>(span);
-        std::fill_n(acc, span, 0.0);
+        std::vector<double> acc(span);
         for (const Point& a : points_) {
-            double* dst = acc + (static_cast<std::int64_t>(a.value) - alo);
+            double* dst =
+                acc.data() + (static_cast<std::int64_t>(a.value) - alo);
             for (std::size_t j = 0; j < bspan; ++j)
                 dst[j] += a.prob * pb[j];
         }
-        const std::int64_t lo = alo + blo;
         out.points_.reserve(std::min(span, max_points * 2));
-        for (std::size_t i = 0; i < span; ++i) {
-            if (acc[i] != 0.0)
-                out.points_.push_back(
-                    {static_cast<double>(lo + static_cast<std::int64_t>(i)),
-                     acc[i]});
-        }
+        appendLatticePoints(acc, alo + blo, out.points_);
         out.normalize();
     } else {
         fallback.add();
@@ -357,17 +343,14 @@ Pmf::downsample(std::size_t max_points)
     // below the median gap, so tight clusters collapse before isolated
     // tail points are touched. Merges are probability-weighted, which
     // preserves the mean exactly.
-    Arena& arena = scratchArena();
     while (points_.size() > max_points) {
-        ArenaScope scope(arena);
         const std::size_t n = points_.size();
-        double* gaps = arena.alloc<double>(n - 1);
+        std::vector<double> gaps(n - 1);
         for (std::size_t i = 0; i + 1 < n; ++i)
             gaps[i] = points_[i + 1].value - points_[i].value;
-        double* order = arena.alloc<double>(n - 1);
-        std::copy(gaps, gaps + (n - 1), order);
-        double* mid = order + (n - 1) / 2;
-        std::nth_element(order, mid, order + (n - 1));
+        std::vector<double> order = gaps;
+        auto mid = order.begin() + (n - 1) / 2;
+        std::nth_element(order.begin(), mid, order.end());
         const double threshold = *mid;
 
         std::vector<Point> merged;
@@ -419,7 +402,7 @@ Pmf::mixture(const std::vector<Pmf>& parts)
     const double w = 1.0 / static_cast<double>(parts.size());
 
     std::int64_t lo = 0, hi = 0;
-    if (mixtureLatticeBounds(parts, total, lo, hi) &&
+    if (mixtureLatticeBounds(parts, lo, hi) &&
         denseEnough(lo, hi, total)) {
         lattice.add();
         // Single-pass dense kernel: accumulate every component straight
@@ -428,23 +411,15 @@ Pmf::mixture(const std::vector<Pmf>& parts)
         // produced, added in the same order, so the result is
         // byte-identical to the fallback's fromPoints.
         Pmf p;
-        Arena& arena = scratchArena();
-        ArenaScope scope(arena);
         const std::size_t span = static_cast<std::size_t>(hi - lo) + 1;
-        double* acc = arena.alloc<double>(span);
-        std::fill_n(acc, span, 0.0);
+        std::vector<double> acc(span);
         for (const Pmf& part : parts) {
             for (const Point& pt : part.points_)
                 acc[static_cast<std::int64_t>(pt.value) - lo] +=
                     pt.prob * w;
         }
         p.points_.reserve(std::min<std::size_t>(span, total));
-        for (std::size_t i = 0; i < span; ++i) {
-            if (acc[i] != 0.0)
-                p.points_.push_back(
-                    {static_cast<double>(lo + static_cast<std::int64_t>(i)),
-                     acc[i]});
-        }
+        appendLatticePoints(acc, lo, p.points_);
         p.normalize();
         return p;
     }

@@ -8,8 +8,10 @@
 
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <optional>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "cimloop/common/error.hh"
@@ -47,19 +49,97 @@ checkLayoutValue(const std::string& value, const std::string& at)
     }
 }
 
-bool
-isNumericField(const std::string& field)
+/**
+ * One numeric sweep field: the integer type its axis values are cast to
+ * (nullptr for a double field), how a value is written onto a point and
+ * how constraints read it back. The one place a field is defined.
+ */
+struct NumericField
 {
-    return field == "rows" || field == "cols" || field == "array" ||
-           field == "dac_bits" || field == "adc_bits" ||
-           field == "cell_bits" || field == "input_bits" ||
-           field == "weight_bits" || field == "voltage" ||
-           field == "tech_nm" || field == "buffer_kb" ||
-           field == "mappings" || field == "fault_stuck_rate" ||
-           field == "stuck_off_rate" || field == "stuck_on_rate" ||
-           field == "conductance_sigma" || field == "fault_sigma" ||
-           field == "adc_offset" || field == "adc_noise_sigma" ||
-           field == "fault_seed";
+    const char* name;
+    const char* intType;
+    void (*set)(SweepPoint&, double);
+    double (*get)(const SweepPoint&);
+};
+
+/** A field stored in the one point member @p Ref returns. */
+template <typename Ref>
+NumericField
+memberField(const char* name, Ref)
+{
+    using T = std::remove_reference_t<
+        decltype(Ref{}(std::declval<SweepPoint&>()))>;
+    const char* int_type = nullptr;
+    if constexpr (std::is_same_v<T, int>)
+        int_type = "int";
+    else if constexpr (std::is_same_v<T, std::int64_t>)
+        int_type = "int64";
+    else if constexpr (std::is_same_v<T, std::uint64_t>)
+        int_type = "uint64";
+    return {name, int_type,
+            [](SweepPoint& s, double v) { Ref{}(s) = static_cast<T>(v); },
+            [](const SweepPoint& s) { return static_cast<double>(Ref{}(s)); }};
+}
+
+const NumericField kNumericFieldTable[] = {
+    memberField("rows", [](auto& s) -> auto& { return s.params.rows; }),
+    memberField("cols", [](auto& s) -> auto& { return s.params.cols; }),
+    {"array", "int64",
+     [](SweepPoint& s, double v) {
+         s.params.rows = s.params.cols = static_cast<std::int64_t>(v);
+     },
+     [](const SweepPoint& s) { return static_cast<double>(s.params.rows); }},
+    memberField("dac_bits",
+                [](auto& s) -> auto& { return s.params.dacBits; }),
+    memberField("adc_bits",
+                [](auto& s) -> auto& { return s.params.adcBits; }),
+    memberField("cell_bits",
+                [](auto& s) -> auto& { return s.params.cellBits; }),
+    memberField("input_bits",
+                [](auto& s) -> auto& { return s.params.inputBits; }),
+    memberField("weight_bits",
+                [](auto& s) -> auto& { return s.params.weightBits; }),
+    memberField("voltage",
+                [](auto& s) -> auto& { return s.params.supplyVoltage; }),
+    memberField("tech_nm",
+                [](auto& s) -> auto& { return s.params.technologyNm; }),
+    memberField("buffer_kb",
+                [](auto& s) -> auto& { return s.params.bufferKb; }),
+    memberField("mappings", [](auto& s) -> auto& { return s.mappings; }),
+    // Total stuck-cell rate, split evenly between the two polarities
+    // (the convention bench/fault_sweep established).
+    {"fault_stuck_rate", nullptr,
+     [](SweepPoint& s, double v) {
+         s.faults.stuckOffRate = v / 2.0;
+         s.faults.stuckOnRate = v / 2.0;
+     },
+     [](const SweepPoint& s) {
+         return s.faults.stuckOffRate + s.faults.stuckOnRate;
+     }},
+    memberField("stuck_off_rate",
+                [](auto& s) -> auto& { return s.faults.stuckOffRate; }),
+    memberField("stuck_on_rate",
+                [](auto& s) -> auto& { return s.faults.stuckOnRate; }),
+    memberField("conductance_sigma",
+                [](auto& s) -> auto& { return s.faults.conductanceSigma; }),
+    memberField("fault_sigma",
+                [](auto& s) -> auto& { return s.faults.conductanceSigma; }),
+    memberField("adc_offset",
+                [](auto& s) -> auto& { return s.faults.adcOffset; }),
+    memberField("adc_noise_sigma",
+                [](auto& s) -> auto& { return s.faults.adcNoiseSigma; }),
+    memberField("fault_seed", [](auto& s) -> auto& { return s.faults.seed; }),
+};
+
+/** The numeric field named @p field, or nullptr. */
+const NumericField*
+numericField(const std::string& field)
+{
+    for (const NumericField& f : kNumericFieldTable) {
+        if (field == f.name)
+            return &f;
+    }
+    return nullptr;
 }
 
 /** One rendering for axis values everywhere (labels, CSV, JSON), shared
@@ -77,57 +157,30 @@ renderNum(double v)
     return oss.str();
 }
 
-/** Writes one numeric axis value onto a materialized point. */
+/**
+ * Fatal unless @p x is finite and, for an integer field, casts exactly
+ * to the field's type.
+ */
 void
-applyNumericField(SweepPoint& point, const std::string& field, double v)
+checkNumericValue(const NumericField& field, double x, const std::string& at)
 {
-    macros::MacroParams& p = point.params;
-    faults::FaultModel& f = point.faults;
-    if (field == "rows") {
-        p.rows = static_cast<std::int64_t>(v);
-    } else if (field == "cols") {
-        p.cols = static_cast<std::int64_t>(v);
-    } else if (field == "array") {
-        p.rows = static_cast<std::int64_t>(v);
-        p.cols = static_cast<std::int64_t>(v);
-    } else if (field == "dac_bits") {
-        p.dacBits = static_cast<int>(v);
-    } else if (field == "adc_bits") {
-        p.adcBits = static_cast<int>(v);
-    } else if (field == "cell_bits") {
-        p.cellBits = static_cast<int>(v);
-    } else if (field == "input_bits") {
-        p.inputBits = static_cast<int>(v);
-    } else if (field == "weight_bits") {
-        p.weightBits = static_cast<int>(v);
-    } else if (field == "voltage") {
-        p.supplyVoltage = v;
-    } else if (field == "tech_nm") {
-        p.technologyNm = v;
-    } else if (field == "buffer_kb") {
-        p.bufferKb = static_cast<std::int64_t>(v);
-    } else if (field == "mappings") {
-        point.mappings = static_cast<int>(v);
-    } else if (field == "fault_stuck_rate") {
-        // Total stuck-cell rate, split evenly between the two polarities
-        // (the convention bench/fault_sweep established).
-        f.stuckOffRate = v / 2.0;
-        f.stuckOnRate = v / 2.0;
-    } else if (field == "stuck_off_rate") {
-        f.stuckOffRate = v;
-    } else if (field == "stuck_on_rate") {
-        f.stuckOnRate = v;
-    } else if (field == "conductance_sigma" || field == "fault_sigma") {
-        f.conductanceSigma = v;
-    } else if (field == "adc_offset") {
-        f.adcOffset = v;
-    } else if (field == "adc_noise_sigma") {
-        f.adcNoiseSigma = v;
-    } else if (field == "fault_seed") {
-        f.seed = static_cast<std::uint64_t>(v);
-    } else {
-        CIM_PANIC("unvalidated numeric sweep field '", field, "'");
-    }
+    if (!std::isfinite(x))
+        CIM_FATAL(at, ": field '", field.name,
+                  "' needs a finite number, got ", x);
+    if (!field.intType)
+        return;
+    if (x != std::floor(x))
+        CIM_FATAL(at, ": field '", field.name, "' needs an integer, got ",
+                  renderNum(x));
+    const std::string type = field.intType;
+    const double hi = type == "int" ? 0x1p31 : type == "int64" ? 0x1p63
+                                                               : 0x1p64;
+    if (x < (type == "uint64" ? 0.0 : -hi) || x >= hi)
+        CIM_FATAL(at, ": field '", field.name, "' is out of range for ",
+                  type, ", got ", renderNum(x));
+    if (std::string(field.name) == "mappings" && x < 1)
+        CIM_FATAL(at, ": field 'mappings' must be >= 1, got ",
+                  renderNum(x));
 }
 
 engine::Objective
@@ -319,7 +372,8 @@ SweepSpec::validateGrid() const
         if (axis.field.empty())
             CIM_FATAL(at, ".field must be set");
         const bool stringField = isStringField(axis.field);
-        if (!stringField && !isNumericField(axis.field)) {
+        const NumericField* numeric = numericField(axis.field);
+        if (!stringField && !numeric) {
             CIM_FATAL("unknown sweep axis field '", axis.field, "' at ",
                       at, ".field (numeric: ", kNumericFields,
                       "; string: ", kStringFields, ")");
@@ -334,11 +388,12 @@ SweepSpec::validateGrid() const
                           stringField ? "string" : "numeric",
                           " values, got '", axis.values[v].text, "'");
             }
-            if (axis.field == "layout") {
-                checkLayoutValue(axis.values[v].text,
-                                 at + ".values[" + std::to_string(v) +
-                                     "]");
-            }
+            const std::string value_at =
+                at + ".values[" + std::to_string(v) + "]";
+            if (axis.field == "layout")
+                checkLayoutValue(axis.values[v].text, value_at);
+            else if (numeric)
+                checkNumericValue(*numeric, axis.values[v].num, value_at);
         }
         for (std::size_t j = 0; j < i; ++j) {
             if (axes[j].field == axis.field) {
@@ -353,7 +408,7 @@ SweepSpec::validateGrid() const
         std::ostringstream path;
         path << "sweep.constraints[" << j << "]";
         const std::string at = path.str();
-        if (!isNumericField(c.field)) {
+        if (!numericField(c.field)) {
             CIM_FATAL("unknown sweep constraint field '", c.field,
                       "' at ", at, ".field (known: ", kNumericFields,
                       ")");
@@ -445,8 +500,9 @@ SweepSpec::fromYaml(const yaml::Node& node)
             spec.workloadPath = value.asString();
         } else if (key == "mappings") {
             std::int64_t m = value.asInt();
-            if (m < 1)
-                CIM_FATAL("sweep.mappings must be >= 1, got ", m);
+            if (m < 1 || m > std::numeric_limits<int>::max())
+                CIM_FATAL("sweep.mappings must be in [1, ",
+                          std::numeric_limits<int>::max(), "], got ", m);
             spec.mappings = static_cast<int>(m);
         } else if (key == "seed") {
             std::int64_t s = value.asInt();
@@ -519,42 +575,8 @@ SweepPoint::label(const SweepSpec& spec) const
 double
 SweepPoint::fieldValue(const std::string& field) const
 {
-    if (field == "rows" || field == "array")
-        return static_cast<double>(params.rows);
-    if (field == "cols")
-        return static_cast<double>(params.cols);
-    if (field == "dac_bits")
-        return params.dacBits;
-    if (field == "adc_bits")
-        return params.adcBits;
-    if (field == "cell_bits")
-        return params.cellBits;
-    if (field == "input_bits")
-        return params.inputBits;
-    if (field == "weight_bits")
-        return params.weightBits;
-    if (field == "voltage")
-        return params.supplyVoltage;
-    if (field == "tech_nm")
-        return params.technologyNm;
-    if (field == "buffer_kb")
-        return static_cast<double>(params.bufferKb);
-    if (field == "mappings")
-        return mappings;
-    if (field == "fault_stuck_rate")
-        return faults.stuckOffRate + faults.stuckOnRate;
-    if (field == "stuck_off_rate")
-        return faults.stuckOffRate;
-    if (field == "stuck_on_rate")
-        return faults.stuckOnRate;
-    if (field == "conductance_sigma" || field == "fault_sigma")
-        return faults.conductanceSigma;
-    if (field == "adc_offset")
-        return faults.adcOffset;
-    if (field == "adc_noise_sigma")
-        return faults.adcNoiseSigma;
-    if (field == "fault_seed")
-        return static_cast<double>(faults.seed);
+    if (const NumericField* numeric = numericField(field))
+        return numeric->get(*this);
     CIM_FATAL("unknown sweep field '", field, "' (known: ",
               kNumericFields, ")");
 }
@@ -613,8 +635,10 @@ materializePoint(const SweepSpec& spec, std::size_t index)
         const Axis& axis = spec.axes[i];
         if (isStringField(axis.field))
             continue;
-        applyNumericField(point, axis.field,
-                          axis.values[point.coords[i]].num);
+        const NumericField* numeric = numericField(axis.field);
+        CIM_ASSERT(numeric, "unvalidated numeric sweep field '",
+                   axis.field, "'");
+        numeric->set(point, axis.values[point.coords[i]].num);
     }
     if (spec.scaledAdc) {
         point.params.adcBits =

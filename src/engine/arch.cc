@@ -39,7 +39,6 @@ Arch::extendLayer(const workload::Layer& layer) const
     ext.dims[workload::dimIndex(workload::Dim::WB)] = weightSlices(layer);
     ext.inputBits = inputBitsFor(layer);
     ext.weightBits = weightBitsFor(layer);
-    ext.outputBits = rep.outputBits;
     return ext;
 }
 

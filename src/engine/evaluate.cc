@@ -11,7 +11,6 @@
 #include <unordered_map>
 #include <utility>
 
-#include "cimloop/common/arena.hh"
 #include "cimloop/common/error.hh"
 #include "cimloop/common/log.hh"
 #include "cimloop/common/parallel.hh"
@@ -41,11 +40,6 @@ precompute(const Arch& arch, const workload::Layer& layer,
            const dist::OperandProfile* profile_override)
 {
     CIM_SPAN("engine.precompute");
-    // Precompute is the heaviest Pmf churn site (three encodes, two slice
-    // mixtures, fault perturbation): one arena scope bounds all the
-    // lattice-kernel scratch the nested dist calls allocate, so the
-    // thread's arena is rewound in one step when the table is built.
-    ArenaScope scratch(scratchArena());
     PerActionTable table;
     table.extLayer = arch.extendLayer(layer);
 
@@ -105,9 +99,15 @@ precompute(const Arch& arch, const workload::Layer& layer,
             traits.domain == models::Domain::Analog ? wt_faulty : wt_sliced;
         ctx.tensors[kO] = out_full;
         if (traits.digitizesOutput) {
-            int res = static_cast<int>(node.attrInt("resolution", 8));
+            // A user-reachable limit: the node's model checks its own
+            // range later, but the output encoder runs first.
+            const std::int64_t res = node.attrInt("resolution", 8);
+            if (res < 1 || res > 32)
+                CIM_FATAL("node '", node.name, "': attribute 'resolution' "
+                          "must be within [1, 32], got ", res);
             ctx.tensors[kO] = dist::encodeOperands(
-                table.profile.outputs, dist::Encoding::Offset, res);
+                table.profile.outputs, dist::Encoding::Offset,
+                static_cast<int>(res));
             if (arch.faults.adcFaultsEnabled()) {
                 ctx.tensors[kO].codes = faults::perturbedAdcCodes(
                     arch.faults, ctx.tensors[kO].codes,
@@ -146,7 +146,7 @@ perActionKey(const Arch& arch, const workload::Layer& layer)
     oss << archCacheKey(arch) << '\x1f'
         << layer.network << '\x1f' << layer.name << '\x1f' << layer.index
         << ' ' << layer.networkLayers << ' ' << layer.inputBits << ' '
-        << layer.weightBits << ' ' << layer.outputBits;
+        << layer.weightBits;
     for (std::int64_t d : layer.dims)
         oss << ' ' << d;
     return oss.str();

@@ -1,5 +1,7 @@
 #include "cimloop/macros/macros.hh"
 
+#include <limits>
+
 #include "cimloop/common/error.hh"
 #include "cimloop/common/util.hh"
 #include "cimloop/spec/builder.hh"
@@ -23,10 +25,38 @@ bufferEntries(const MacroParams& p)
     return p.bufferKb * 1024;
 }
 
-/** The local input/output buffer every macro starts with. */
+/**
+ * Rejects the shared parameters no macro can be built from. They come
+ * from user input (sweep axes, CLI flags, serve requests), so a bad
+ * value is a FatalError naming the parameter, not a panic deeper in.
+ */
+void
+checkParams(const MacroParams& p)
+{
+    auto check = [](const char* name, std::int64_t v, std::int64_t lo,
+                    std::int64_t hi) {
+        if (v < lo || v > hi)
+            CIM_FATAL("macro ", name, " must be in [", lo, ", ", hi,
+                      "], got ", v);
+    };
+    constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+    check("rows", p.rows, 1, std::int64_t{1} << 24);
+    check("cols", p.cols, 1, std::int64_t{1} << 24);
+    check("input_bits", p.inputBits, 1, 16);
+    check("weight_bits", p.weightBits, 1, 16);
+    check("dac_bits", p.dacBits, 1, kIntMax);
+    check("cell_bits", p.cellBits, 1, kIntMax);
+    check("buffer_kb", p.bufferKb, 1, std::int64_t{1} << 40);
+}
+
+/**
+ * Checks the parameters, then appends the local input/output buffer
+ * every macro starts with.
+ */
 void
 appendLocalBuffer(HierarchyBuilder& b, const MacroParams& p)
 {
+    checkParams(p);
     b.component("buffer", "SRAM")
         .temporalReuse({kIn, kOut})
         .attr("entries", bufferEntries(p))
@@ -36,7 +66,6 @@ appendLocalBuffer(HierarchyBuilder& b, const MacroParams& p)
 void
 appendBase(HierarchyBuilder& b, const MacroParams& p)
 {
-    CIM_ASSERT(p.rows >= 1 && p.cols >= 1, "macro needs a non-empty array");
     appendLocalBuffer(b, p);
     b.container("macro")
         .component("shift_add", "ShiftAdd")

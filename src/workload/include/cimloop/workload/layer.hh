@@ -110,7 +110,6 @@ struct Layer
 
     int inputBits = 8;
     int weightBits = 8;
-    int outputBits = 8;
 
     /** Size of one dimension. */
     std::int64_t size(Dim d) const { return dims[dimIndex(d)]; }
@@ -169,8 +168,8 @@ namespace cimloop::workload {
  *
  *   name: conv3_1a
  *   dims: {C: 64, K: 128, P: 28, Q: 28, R: 3, S: 3}
- *   input_bits: 8      # optional, default 8
- *   weight_bits: 8     # optional
+ *   input_bits: 8      # optional, default 8, range [1, 16]
+ *   weight_bits: 8     # optional, same range
  *   count: 1           # optional repetitions
  *
  * Unlisted dims default to 1. Fatal on unknown keys or dims; error

@@ -21,6 +21,19 @@ intAt(const yaml::Node& value, const std::string& path)
     }
 }
 
+/**
+ * An operand bit width: the operand synthesizer supports [1, 16] bits,
+ * so a wider or non-positive width is a user error, named by key path.
+ */
+int
+bitsAt(const yaml::Node& value, const std::string& path)
+{
+    const std::int64_t bits = intAt(value, path);
+    if (bits < 1 || bits > 16)
+        CIM_FATAL(path, " must be in [1, 16], got ", bits);
+    return static_cast<int>(bits);
+}
+
 std::string
 stringAt(const yaml::Node& value, const std::string& path)
 {
@@ -38,7 +51,7 @@ layerFromYaml(const yaml::Node& node, const std::string& path)
 {
     if (!node.isMapping())
         CIM_FATAL(path, " must be a YAML mapping (keys: name, dims, "
-                  "input_bits, weight_bits, output_bits, count)");
+                  "input_bits, weight_bits, count)");
     Layer layer;
     for (const auto& [key, value] : node.items()) {
         if (key == "name") {
@@ -57,14 +70,9 @@ layerFromYaml(const yaml::Node& node, const std::string& path)
                 layer.dims[dimIndex(d)] = extent;
             }
         } else if (key == "input_bits") {
-            layer.inputBits =
-                static_cast<int>(intAt(value, path + ".input_bits"));
+            layer.inputBits = bitsAt(value, path + ".input_bits");
         } else if (key == "weight_bits") {
-            layer.weightBits =
-                static_cast<int>(intAt(value, path + ".weight_bits"));
-        } else if (key == "output_bits") {
-            layer.outputBits =
-                static_cast<int>(intAt(value, path + ".output_bits"));
+            layer.weightBits = bitsAt(value, path + ".weight_bits");
         } else if (key == "count") {
             layer.count = intAt(value, path + ".count");
             if (layer.count < 1)
@@ -73,7 +81,7 @@ layerFromYaml(const yaml::Node& node, const std::string& path)
         } else {
             CIM_FATAL(path, ": unknown key '", key, "' (layer '",
                       layer.name, "'; known: name, dims, input_bits, "
-                      "weight_bits, output_bits, count)");
+                      "weight_bits, count)");
         }
     }
     if (layer.name.empty())

@@ -145,6 +145,73 @@ TEST(Run, YamlArchAndWorkloadWithCsv)
     EXPECT_EQ(row.substr(0, 3), "l0,");
 }
 
+TEST(Run, BadBitWidthsInUserFilesAreFatal)
+{
+    // Out-of-range widths in a YAML workload or a YAML arch are user
+    // errors: exit 1 with a message naming the key, never a panic.
+    const std::string arch_path = "/tmp/cimloop_cli_bits_arch.yaml";
+    const std::string net_path = "/tmp/cimloop_cli_bits_net.yaml";
+    auto write_arch = [&](int adc_resolution) {
+        std::ofstream a(arch_path);
+        a << "!Component\nname: buffer\nclass: SRAM\n"
+             "temporal_reuse: [Inputs, Outputs]\nentries: 8192\n"
+             "!Component\nname: dac\nclass: DAC\n"
+             "no_coalesce: [Inputs]\nresolution: 1\n"
+             "!Container\nname: col\nspatial: {meshX: 16}\n"
+             "spatial_reuse: [Inputs]\nspatial_dims: [K, WB]\n"
+             "!Component\nname: adc\nclass: ADC\n"
+             "no_coalesce: [Outputs]\nresolution: "
+          << adc_resolution
+          << "\n!Component\nname: cells\nclass: ReRAMCell\n"
+             "spatial: {meshY: 16}\ntemporal_reuse: [Weights]\n"
+             "spatial_reuse: [Outputs]\nspatial_dims: [C, R, S]\n";
+    };
+    auto write_net = [&](const std::string& bits) {
+        std::ofstream n(net_path);
+        n << "name: tiny\nlayers:\n  - name: l0\n"
+             "    dims: {C: 16, K: 16}\n" << bits;
+    };
+    auto run_files = [&](std::string& err_text) {
+        std::ostringstream out, err;
+        int rc = -1;
+        try {
+            rc = run({"--arch", arch_path, "--workload", net_path,
+                      "--mappings", "3"},
+                     out, err);
+        } catch (const PanicError& e) {
+            err_text = std::string("panic: ") + e.what();
+            return rc;
+        }
+        err_text = err.str();
+        return rc;
+    };
+    std::string err;
+
+    write_arch(4);
+    write_net("    input_bits: 40\n");
+    EXPECT_EQ(run_files(err), 1) << err;
+    EXPECT_NE(err.find("workload.layers[0].input_bits"), std::string::npos)
+        << err;
+    write_net("    weight_bits: 0\n");
+    EXPECT_EQ(run_files(err), 1) << err;
+    EXPECT_NE(err.find("workload.layers[0].weight_bits"),
+              std::string::npos)
+        << err;
+
+    // The output encoder runs at the ADC's resolution before the ADC
+    // model's own check, so it must reject the value itself.
+    write_net("");
+    write_arch(0);
+    EXPECT_EQ(run_files(err), 1) << err;
+    EXPECT_NE(err.find("node 'adc': attribute 'resolution'"),
+              std::string::npos)
+        << err;
+    write_arch(4);
+    EXPECT_EQ(run_files(err), 0) << err;
+    std::remove(arch_path.c_str());
+    std::remove(net_path.c_str());
+}
+
 TEST(Run, MissingFileExitsOne)
 {
     std::ostringstream out, err;
@@ -303,6 +370,35 @@ TEST(Parse, RefSimFlags)
     EXPECT_THROW(parse({"--refsim", "--network", "mvm",
                         "--refsim-vectors", "-2"}),
                  FatalError);
+}
+
+TEST(Parse, RefSimRejectsFlagsItIgnores)
+{
+    // The reference simulator always runs the base macro at nominal
+    // voltage and prints only its own table, so these flags would be
+    // silent no-ops; each is an error naming the flag instead.
+    const std::vector<std::vector<std::string>> ignored = {
+        {"--arch", "f.yaml"}, {"--macro", "C"},  {"--voltage", "0.7"},
+        {"--device", "pcm"},  {"--report"},      {"--csv", "o.csv"},
+        {"--ert", "e.yaml"},  {"--mapping", "m.yaml"},
+        {"--keep-going"},
+    };
+    for (const std::vector<std::string>& extra : ignored) {
+        std::vector<std::string> args = {"--refsim", "--network", "mvm"};
+        args.insert(args.end(), extra.begin(), extra.end());
+        try {
+            parseArgs(args);
+            ADD_FAILURE() << extra[0] << " accepted with --refsim";
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find(extra[0]),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    // The base macro (any case) and the honored knobs stay accepted.
+    EXPECT_NO_THROW(parse({"--refsim", "--network", "mvm", "--macro",
+                           "Base", "--tech", "28", "--dac-bits", "2",
+                           "--input-bits", "4"}));
 }
 
 TEST(Run, RefSimReportsPerLayerError)

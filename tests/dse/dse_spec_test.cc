@@ -6,6 +6,7 @@
  */
 #include "cimloop/dse/dse.hh"
 
+#include <limits>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -340,6 +341,57 @@ TEST(DseSpec, StringValuesOnNumericAxisFatal)
                          "    values: [small, large]\n");
         },
         "takes numeric values");
+}
+
+TEST(DseSpec, NumericAxisValuesMustCastExactly)
+{
+    // Each value is checked against the type applyNumericField casts it
+    // to, so no point is evaluated at a value other than its label.
+    auto axis = [](const std::string& field, const std::string& values) {
+        return "network: mvm\n"
+               "axes:\n"
+               "  - field: voltage\n"
+               "    values: [0.8]\n"
+               "  - field: " + field + "\n"
+               "    values: [" + values + "]\n";
+    };
+    expectFatalContaining(
+        [&] { specFromText(axis("dac_bits", "1, 99999999999")); },
+        "sweep.axes[1].values[1]: field 'dac_bits' is "
+        "out of range for int, got 99999999999");
+    expectFatalContaining(
+        [&] { specFromText(axis("mappings", "3, 3000000000")); },
+        "sweep.axes[1].values[1]: field 'mappings' is "
+        "out of range for int");
+    expectFatalContaining(
+        [&] { specFromText(axis("mappings", "3, 0")); },
+        "sweep.axes[1].values[1]: field 'mappings' must "
+        "be >= 1");
+    expectFatalContaining(
+        [&] { specFromText(axis("dac_bits", "1, 2.5")); },
+        "sweep.axes[1].values[1]: field 'dac_bits' needs "
+        "an integer, got 2.5");
+    expectFatalContaining(
+        [&] { specFromText(axis("rows", "1e19")); },
+        "sweep.axes[1].values[0]: field 'rows' is out "
+        "of range for int64");
+    expectFatalContaining(
+        [&] { specFromText(axis("fault_seed", "-1")); },
+        "sweep.axes[1].values[0]: field 'fault_seed' is "
+        "out of range for uint64");
+    // Non-finite values are rejected for every numeric field.
+    SweepSpec spec;
+    spec.network = "mvm";
+    spec.addAxis("voltage",
+                 std::vector<double>{
+                     0.8, std::numeric_limits<double>::infinity()});
+    expectFatalContaining([&] { spec.validate(); },
+                          "sweep.axes[0].values[1]: field 'voltage' needs "
+                          "a finite number");
+    // Integral values in range still pass, negative ones included (the
+    // builders reject those per point).
+    EXPECT_NO_THROW(specFromText(axis("rows", "-4, 1e15")));
+    EXPECT_NO_THROW(specFromText(axis("fault_seed", "0, 1e19")));
 }
 
 TEST(DseSpec, UnknownConstraintFieldFatalsWithKeyPath)

@@ -177,6 +177,41 @@ TEST(Validation, BadParamsRejected)
     EXPECT_THROW(macroB(b), PanicError);
 }
 
+TEST(Validation, UserReachableParamsAreFatal)
+{
+    // Sweep axes and CLI flags set these directly: a bad value is a
+    // spec error naming the parameter, for every macro kind.
+    auto message = [](const std::string& kind, MacroParams p) {
+        try {
+            macroByName(kind, p);
+        } catch (const FatalError& e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    MacroParams p = baseDefaults();
+    p.rows = 0;
+    EXPECT_NE(message("base", p).find("rows"), std::string::npos);
+    p = baseDefaults();
+    p.cols = std::int64_t{1} << 40;
+    EXPECT_NE(message("base", p).find("cols"), std::string::npos);
+    p = macroCDefaults();
+    p.weightBits = 40;
+    EXPECT_NE(message("C", p).find("weight_bits"), std::string::npos);
+    p = digitalCimDefaults();
+    p.inputBits = 0;
+    EXPECT_NE(message("digital", p).find("input_bits"), std::string::npos);
+    p = macroADefaults();
+    p.dacBits = 0;
+    EXPECT_NE(message("A", p).find("dac_bits"), std::string::npos);
+    p = macroDDefaults();
+    p.cellBits = -1;
+    EXPECT_NE(message("D", p).find("cell_bits"), std::string::npos);
+    p = macroBDefaults();
+    p.bufferKb = 0;
+    EXPECT_NE(message("B", p).find("buffer_kb"), std::string::npos);
+}
+
 TEST(Calibration, MacroEfficienciesInPublishedBallpark)
 {
     // Published: Macro B 351 TOPS/W (4b), Macro D 32.2 TOPS/W (8b),

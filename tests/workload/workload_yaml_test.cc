@@ -47,6 +47,38 @@ TEST(LayerYaml, Errors)
         FatalError);
 }
 
+TEST(LayerYaml, BitWidthsOutsideOneToSixteenNameTheKey)
+{
+    auto message = [](const std::string& text) -> std::string {
+        try {
+            networkFromYaml(yaml::parse(text));
+        } catch (const FatalError& e) {
+            return e.what();
+        }
+        return "accepted";
+    };
+    const std::string head = "name: w\nlayers:\n  - name: l0\n"
+                             "    dims: {C: 4}\n";
+    EXPECT_NE(message(head + "    input_bits: 40\n")
+                  .find("workload.layers[0].input_bits must be in "
+                        "[1, 16], got 40"),
+              std::string::npos);
+    EXPECT_NE(message(head + "    weight_bits: 0\n")
+                  .find("workload.layers[0].weight_bits must be in "
+                        "[1, 16], got 0"),
+              std::string::npos);
+    EXPECT_NE(message(head + "    weight_bits: 17\n")
+                  .find("workload.layers[0].weight_bits"),
+              std::string::npos);
+    // output_bits never changed a result (the architecture sets the
+    // output width), so it is no longer a layer key.
+    EXPECT_NE(message(head + "    output_bits: 8\n")
+                  .find("unknown key 'output_bits'"),
+              std::string::npos);
+    EXPECT_EQ(message(head + "    input_bits: 16\n    weight_bits: 1\n"),
+              "accepted");
+}
+
 TEST(NetworkYaml, Document)
 {
     yaml::Node doc = yaml::parse(

@@ -10,6 +10,7 @@
 
 #include "cimloop/common/error.hh"
 #include "cimloop/common/util.hh"
+#include "support/mutate.hh"
 
 namespace cimloop::yaml {
 namespace {
@@ -24,38 +25,13 @@ const char* kCorpus[] = {
     "    dims: {C: 8}\n",
 };
 
-/** Deterministic byte-level mutation. */
-std::string
-mutate(const std::string& base, Rng& rng)
-{
-    std::string s = base;
-    int edits = 1 + static_cast<int>(rng.below(4));
-    const char alphabet[] = "{}[]:,-!#\"' \nabz019\t";
-    for (int e = 0; e < edits && !s.empty(); ++e) {
-        std::size_t pos = rng.below(s.size());
-        switch (rng.below(3)) {
-          case 0: // flip
-            s[pos] = alphabet[rng.below(sizeof(alphabet) - 1)];
-            break;
-          case 1: // delete
-            s.erase(pos, 1);
-            break;
-          default: // insert
-            s.insert(pos, 1,
-                     alphabet[rng.below(sizeof(alphabet) - 1)]);
-            break;
-        }
-    }
-    return s;
-}
-
 TEST(Robustness, MutatedDocumentsNeverCrash)
 {
     Rng rng(0xC0FFEE);
     int parsed = 0, rejected = 0;
     for (const char* base : kCorpus) {
         for (int trial = 0; trial < 400; ++trial) {
-            std::string doc = mutate(base, rng);
+            std::string doc = fuzz::mutateBytes(base, rng);
             try {
                 Node n = parse(doc);
                 // Whatever parsed must be traversable and printable.
