@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <utility>
 
 #include "cimloop/common/error.hh"
@@ -164,18 +166,20 @@ exit codes:
 
 namespace {
 
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+
+/** An integer flag value within [lo, hi]; fatal otherwise. */
 std::int64_t
-parseInt(const std::string& flag, const std::string& value)
+parseInt(const std::string& flag, const std::string& value, std::int64_t lo,
+         std::int64_t hi)
 {
-    try {
-        std::size_t pos = 0;
-        long long v = std::stoll(value, &pos);
-        if (pos != value.size())
-            throw std::invalid_argument(value);
-        return v;
-    } catch (const std::exception&) {
-        CIM_FATAL("flag ", flag, " expects an integer, got '", value, "'");
-    }
+    std::string error;
+    std::optional<std::int64_t> v = parseIntFlag(flag, value, lo, hi, error);
+    if (!v)
+        CIM_FATAL(error);
+    return *v;
 }
 
 double
@@ -205,6 +209,10 @@ parseArgs(const std::vector<std::string>& args)
                 CIM_FATAL("flag ", flag, " expects a value");
             return args[++i];
         };
+        // Every int-typed flag: range-checked, so the cast never narrows.
+        auto int_value = [&](std::int64_t lo, std::int64_t hi) {
+            return static_cast<int>(parseInt(flag, value(), lo, hi));
+        };
         if (flag == "--help" || flag == "-h") {
             opts.help = true;
         } else if (flag == "--macro") {
@@ -216,12 +224,13 @@ parseArgs(const std::vector<std::string>& args)
         } else if (flag == "--workload") {
             opts.workloadPath = value();
         } else if (flag == "--mappings") {
-            opts.mappings = static_cast<int>(parseInt(flag, value()));
+            opts.mappings = int_value(1, kIntMax);
         } else if (flag == "--seed") {
-            opts.seed = static_cast<std::uint64_t>(parseInt(flag, value()));
+            opts.seed = static_cast<std::uint64_t>(
+                parseInt(flag, value(), kInt64Min, kInt64Max));
             opts.seedGiven = true;
         } else if (flag == "--threads") {
-            opts.threads = static_cast<int>(parseInt(flag, value()));
+            opts.threads = int_value(1, kIntMax);
         } else if (flag == "--objective") {
             opts.objective = value();
         } else if (flag == "--tech") {
@@ -229,13 +238,13 @@ parseArgs(const std::vector<std::string>& args)
         } else if (flag == "--voltage") {
             opts.voltage = parseDouble(flag, value());
         } else if (flag == "--dac-bits") {
-            opts.dacBits = static_cast<int>(parseInt(flag, value()));
+            opts.dacBits = int_value(1, kIntMax);
         } else if (flag == "--cell-bits") {
-            opts.cellBits = static_cast<int>(parseInt(flag, value()));
+            opts.cellBits = int_value(1, kIntMax);
         } else if (flag == "--input-bits") {
-            opts.inputBits = static_cast<int>(parseInt(flag, value()));
+            opts.inputBits = int_value(1, 16);
         } else if (flag == "--weight-bits") {
-            opts.weightBits = static_cast<int>(parseInt(flag, value()));
+            opts.weightBits = int_value(1, 16);
         } else if (flag == "--device") {
             opts.device = value();
         } else if (flag == "--csv") {
@@ -249,7 +258,7 @@ parseArgs(const std::vector<std::string>& args)
         } else if (flag == "--refsim") {
             opts.refsim = true;
         } else if (flag == "--refsim-vectors") {
-            opts.refsimVectors = parseInt(flag, value());
+            opts.refsimVectors = parseInt(flag, value(), 0, kInt64Max);
         } else if (flag == "--faults") {
             opts.faultsPath = value();
         } else if (flag == "--fault-stuck-rate") {
@@ -286,15 +295,11 @@ parseArgs(const std::vector<std::string>& args)
             if (opts.resumeDir.empty())
                 CIM_FATAL("--resume= expects a directory path");
         } else if (flag == "--chunk-size") {
-            const std::int64_t v = parseInt(flag, value());
-            if (v < 1)
-                CIM_FATAL("--chunk-size must be >= 1, got ", v);
-            opts.chunkSize = static_cast<std::size_t>(v);
+            opts.chunkSize = static_cast<std::size_t>(
+                parseInt(flag, value(), 1, kInt64Max));
         } else if (flag == "--max-chunks") {
-            const std::int64_t v = parseInt(flag, value());
-            if (v < 1)
-                CIM_FATAL("--max-chunks must be >= 1, got ", v);
-            opts.maxChunks = static_cast<std::size_t>(v);
+            opts.maxChunks = static_cast<std::size_t>(
+                parseInt(flag, value(), 1, kInt64Max));
         } else if (flag == "--timeout") {
             opts.timeoutSeconds = parseDouble(flag, value());
             if (!(opts.timeoutSeconds > 0.0)) {
@@ -338,8 +343,6 @@ parseArgs(const std::vector<std::string>& args)
                 CIM_FATAL("--sweep explores layouts through a 'layout' "
                           "axis in the spec; drop --layout/"
                           "--layout-search");
-            if (opts.threads < 1)
-                CIM_FATAL("--threads must be >= 1");
             return opts;
         }
         if (!opts.jsonPath.empty())
@@ -379,8 +382,6 @@ parseArgs(const std::vector<std::string>& args)
                     CIM_FATAL("--refsim simulates only the base macro at "
                               "nominal voltage; remove ", flag);
             }
-            if (opts.refsimVectors < 0)
-                CIM_FATAL("--refsim-vectors must be >= 0 (0 = all)");
             if (!opts.layoutPath.empty() || opts.layoutSearch)
                 CIM_FATAL("--refsim does not model physical layouts; "
                           "drop --layout/--layout-search");
@@ -389,10 +390,6 @@ parseArgs(const std::vector<std::string>& args)
         }
         if (opts.networkName.empty() == opts.workloadPath.empty())
             CIM_FATAL("specify exactly one of --network or --workload");
-        if (opts.mappings < 1)
-            CIM_FATAL("--mappings must be >= 1");
-        if (opts.threads < 1)
-            CIM_FATAL("--threads must be >= 1");
         if (!engine::parseObjective(opts.objective))
             CIM_FATAL("--objective must be energy, edp, or delay");
     }

@@ -7,6 +7,7 @@
 #define CIMLOOP_COMMON_UTIL_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -83,6 +84,19 @@ bool startsWith(const std::string& s, const std::string& prefix);
 
 /** Lower-cases ASCII. */
 std::string toLower(std::string s);
+
+/**
+ * Parses @p text, the value of integer flag @p flag, as a base-10
+ * integer within [@p lo, @p hi]. Returns nullopt with @p error set to
+ * "flag F expects an integer, got 'T'" or "flag F must be within
+ * [lo, hi], got T" (also for values beyond 64 bits), so no caller
+ * narrows an out-of-range value silently. The CLI and `cimloop serve`
+ * parse every integer flag here.
+ */
+std::optional<std::int64_t> parseIntFlag(const std::string& flag,
+                                         const std::string& text,
+                                         std::int64_t lo, std::int64_t hi,
+                                         std::string& error);
 
 /**
  * Deterministic 64-bit xorshift* generator. Used instead of std::mt19937 in

@@ -1,7 +1,9 @@
 #include "cimloop/common/util.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
@@ -136,6 +138,26 @@ Rng::gaussian()
     if (u1 < 1e-300)
         u1 = 1e-300;
     return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
+}
+
+std::optional<std::int64_t>
+parseIntFlag(const std::string& flag, const std::string& text,
+             std::int64_t lo, std::int64_t hi, std::string& error)
+{
+    errno = 0;
+    char* end = nullptr;
+    const long long v = std::strtoll(text.c_str(), &end, 10);
+    if (end == text.c_str() ||
+        static_cast<std::size_t>(end - text.c_str()) != text.size()) {
+        error = "flag " + flag + " expects an integer, got '" + text + "'";
+        return std::nullopt;
+    }
+    if (errno == ERANGE || v < lo || v > hi) {
+        error = "flag " + flag + " must be within [" + std::to_string(lo) +
+                ", " + std::to_string(hi) + "], got " + text;
+        return std::nullopt;
+    }
+    return v;
 }
 
 } // namespace cimloop

@@ -377,18 +377,31 @@ evaluate(const Arch& arch, const PerActionTable& table,
     return evaluate(arch, table, mapping, &resolved);
 }
 
-Evaluation
-evaluate(const Arch& arch, const PerActionTable& table,
-         const mapping::Mapping& mapping,
-         const layout::ResolvedLayout* layout)
+namespace {
+
+/**
+ * evaluate() of a mapping that already passed mapping.check(plan), into
+ * caller-owned @p nest and @p ev. Both keep their storage between calls,
+ * so a search shard that reuses them allocates nothing per sample. An
+ * invalid result leaves ev.invalidReason empty; nest.violation says why.
+ */
+void
+evaluateChecked(const Arch& arch, const PerActionTable& table,
+                const mapping::SearchPlan& plan,
+                const mapping::Mapping& mapping,
+                const layout::ResolvedLayout* layout,
+                mapping::NestResult& nest, Evaluation& ev)
 {
-    Evaluation ev;
-    mapping::NestResult nest =
-        mapping::analyzeNest(arch.hierarchy, mapping, table.extLayer);
-    if (!nest.valid) {
-        ev.invalidReason = nest.invalidReason;
-        return ev;
-    }
+    Evaluation fresh;
+    fresh.nodeEnergyPj = std::move(ev.nodeEnergyPj);
+    fresh.nodeAreaUm2 = std::move(ev.nodeAreaUm2);
+    fresh.nodeEnergyPj.clear();
+    fresh.nodeAreaUm2.clear();
+    ev = std::move(fresh);
+
+    mapping::analyzeNest(plan, mapping, nest);
+    if (!nest.valid)
+        return;
 
     const std::size_t n = arch.hierarchy.nodes.size();
     CIM_ASSERT(table.nodes.size() == n,
@@ -424,8 +437,7 @@ evaluate(const Arch& arch, const PerActionTable& table,
         // leaves idle still conduct at a fraction of the active-cell
         // cost. This is what makes oversized arrays lose at the macro
         // level when tensors underutilize them (paper Fig. 2a).
-        double idle_fraction =
-            arch.hierarchy.nodes[i].attrDouble("idle_fraction", 0.0);
+        double idle_fraction = plan.nodes[i].idleFraction;
         if (idle_fraction > 0.0 &&
             counts.usedInstances < counts.totalInstances) {
             double idle_ratio =
@@ -488,6 +500,22 @@ evaluate(const Arch& arch, const PerActionTable& table,
             ev.energyPj += leak_pj;
         }
     }
+}
+
+} // namespace
+
+Evaluation
+evaluate(const Arch& arch, const PerActionTable& table,
+         const mapping::Mapping& mapping,
+         const layout::ResolvedLayout* layout)
+{
+    const mapping::SearchPlan plan(arch.hierarchy, table.extLayer);
+    Evaluation ev;
+    mapping::NestResult nest;
+    nest.violation = mapping.check(plan);
+    if (!nest.violation)
+        evaluateChecked(arch, table, plan, mapping, layout, nest, ev);
+    ev.invalidReason = nest.violation.message(arch.hierarchy);
     return ev;
 }
 
@@ -548,6 +576,11 @@ struct ShardCounts
  * and hands every valid one to visit(mapping, evaluation) in draw order.
  * searchMappings and paretoFrontier both sample here, so for one seed
  * the frontier explores exactly the sample set the search ranks.
+ *
+ * Every sample is drawn into the same Mapping and evaluated into the
+ * same scratch, and the mapper's check is the only one it passes: the
+ * references visit() receives are overwritten by the next sample, so
+ * visit copies what it keeps.
  */
 template <typename Visit>
 ShardCounts
@@ -561,6 +594,9 @@ sampleShard(const Arch& arch, const PerActionTable& table,
         num_mappings / shards + (shard < num_mappings % shards ? 1 : 0);
     ShardCounts counts;
     Rng rng = Rng::forStream(seed, static_cast<std::uint64_t>(shard));
+    mapping::Mapping m;
+    mapping::NestResult nest;
+    Evaluation ev;
     for (int i = 0; i < budget; ++i) {
         // Poll between samples, not mid-evaluation. The shard just stops
         // drawing; searchMappings notices the token after the join and
@@ -568,19 +604,17 @@ sampleShard(const Arch& arch, const PerActionTable& table,
         // best computed from a truncated sample set.
         if (cancel && cancel->cancelled())
             break;
-        std::optional<mapping::Mapping> m =
-            mapper.next(rng, counts.rejected);
-        if (!m) {
+        if (!mapper.next(rng, counts.rejected, m)) {
             counts.exhausted = true;
             break;
         }
-        Evaluation ev = evaluate(arch, table, *m, layout);
+        evaluateChecked(arch, table, mapper.plan(), m, layout, nest, ev);
         if (!ev.valid) {
             ++counts.invalid;
             continue;
         }
         ++counts.evaluated;
-        visit(*m, ev);
+        visit(m, ev);
     }
     return counts;
 }
@@ -654,15 +688,16 @@ searchMappings(const Arch& arch, const workload::Layer& layer,
                     out.counts = sampleShard(
                         arch, *table, mapper, seed, shard, num_mappings,
                         layout_of(l), cancel,
-                        [&](mapping::Mapping& m, Evaluation& ev) {
+                        [&](const mapping::Mapping& m,
+                            const Evaluation& ev) {
                             double value = objectiveValue(opts.objective, ev);
                             // Strict < keeps the lowest sample index
                             // among equal values.
                             if (!out.have || value < out.value) {
                                 out.have = true;
                                 out.value = value;
-                                out.eval = std::move(ev);
-                                out.best = std::move(m);
+                                out.eval = ev;
+                                out.best = m;
                             }
                         });
                 },
@@ -681,8 +716,11 @@ searchMappings(const Arch& arch, const workload::Layer& layer,
     // heuristic ahead of every shard (it wins ties), then shards
     // ascending; strict improvement only.
     const mapping::Mapping greedy = mapper.greedy();
+    mapping::NestResult nest;
     for (std::size_t l = 0; l < num_layouts; ++l) {
-        Evaluation ev = evaluate(arch, *table, greedy, layout_of(l));
+        Evaluation ev;
+        evaluateChecked(arch, *table, mapper.plan(), greedy, layout_of(l),
+                        nest, ev);
         if (ev.valid) {
             ++result.evaluated;
             double value = objectiveValue(opts.objective, ev);
@@ -920,11 +958,14 @@ paretoFrontier(const Arch& arch, const workload::Layer& layer,
     const layout::ResolvedLayout* layout = resolved.any ? &resolved : nullptr;
 
     std::vector<ParetoPoint> points;
-    auto keep = [&](mapping::Mapping& m, Evaluation& ev) {
-        points.push_back({std::move(m), std::move(ev)});
+    auto keep = [&](const mapping::Mapping& m, const Evaluation& ev) {
+        points.push_back({m, ev});
     };
-    mapping::Mapping greedy = mapper.greedy();
-    Evaluation greedy_ev = evaluate(arch, *table, greedy, layout);
+    const mapping::Mapping greedy = mapper.greedy();
+    mapping::NestResult nest;
+    Evaluation greedy_ev;
+    evaluateChecked(arch, *table, mapper.plan(), greedy, layout, nest,
+                    greedy_ev);
     if (greedy_ev.valid)
         keep(greedy, greedy_ev);
     for (int shard = 0; shard < searchShards(num_mappings); ++shard) {

@@ -27,13 +27,14 @@ struct MapperOptions
 };
 
 /**
- * Generates mappings for one (hierarchy, layer) pair. Spatial factors are
+ * Generates mappings for one (hierarchy, layer) pair, against a
+ * SearchPlan built once in the constructor. Spatial factors are
  * drawn only over dims each node allows (spatial_dims constraint and the
  * hard wire-sharing rule); temporal loops live at storage nodes and the
  * outermost node.
  *
- * Thread safety: the const methods (greedy() and the next()/sample()
- * overloads taking a caller-owned Rng) touch no mapper state, so one
+ * Thread safety: the const methods (greedy() and the next() overloads
+ * taking a caller-owned Rng) only read the immutable plan, so one
  * Mapper may be shared by concurrent search shards as long as each shard
  * draws from its own Rng stream (see Rng::forStream). The argument-less
  * next() uses the mapper's internal stream and is single-threaded.
@@ -66,6 +67,14 @@ class Mapper
     std::optional<Mapping> next(Rng& rng, int& rejected) const;
 
     /**
+     * The same draws as next(rng, rejected), sampled into @p out, whose
+     * storage is reused: a search loop that keeps one Mapping allocates
+     * nothing per sample. Returns false when maxAttempts samples in a
+     * row fail validation (@p out then holds the last of them).
+     */
+    bool next(Rng& rng, int& rejected, Mapping& out) const;
+
+    /**
      * Enumerates the COMPLETE mapspace — every valid combination of
      * spatial factors, temporal splits, and per-node loop permutations —
      * for small layers/hierarchies. Fatal when the space exceeds
@@ -78,18 +87,21 @@ class Mapper
     /** Mappings drawn so far (valid ones). */
     std::int64_t generated() const { return num_generated; }
 
+    /** The plan every sample, check and nest analysis of this
+     *  (hierarchy, layer) runs against. */
+    const SearchPlan& plan() const { return search_plan; }
+
   private:
     const spec::Hierarchy& hierarchy;
     const Layer& layer;
     MapperOptions options;
     Rng rng;
     std::int64_t num_generated = 0;
+    SearchPlan search_plan;
+    DivisorTable divisors; //!< the layer's, for sampling
 
-    /** Dims that node @p i may map spatially. */
-    std::vector<Dim> allowedSpatialDims(int i) const;
-
-    /** One random sample from @p rng (may be invalid). */
-    Mapping sample(Rng& rng) const;
+    /** One random sample from @p rng into @p m (may be invalid). */
+    void sample(Rng& rng, Mapping& m) const;
 };
 
 } // namespace cimloop::mapping

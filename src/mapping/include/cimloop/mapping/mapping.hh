@@ -11,9 +11,11 @@
 #ifndef CIMLOOP_MAPPING_MAPPING_HH
 #define CIMLOOP_MAPPING_MAPPING_HH
 
+#include <array>
 #include <string>
 #include <vector>
 
+#include "cimloop/mapping/plan.hh"
 #include "cimloop/spec/hierarchy.hh"
 #include "cimloop/workload/layer.hh"
 #include "cimloop/yaml/node.hh"
@@ -24,6 +26,17 @@ using workload::Dim;
 using workload::DimSizes;
 using workload::Layer;
 using workload::TensorKind;
+
+/** A loop order with each dim at most once, outermost first; fixed size,
+ *  so computing one allocates nothing. */
+struct DimOrder
+{
+    std::array<Dim, workload::kNumDims> dims = {};
+    int size = 0;
+
+    const Dim* begin() const { return dims.data(); }
+    const Dim* end() const { return dims.data() + size; }
+};
 
 /** Tiling decisions at one hierarchy node. */
 struct LevelMapping
@@ -51,7 +64,7 @@ struct LevelMapping
      * Temporal loop order with defaults applied: every dim with factor
      * > 1 appears exactly once, outermost first.
      */
-    std::vector<Dim> effectiveOrder() const;
+    DimOrder effectiveOrder() const;
 
     /** Exact structural equality (factors and literal order lists). */
     bool operator==(const LevelMapping&) const = default;
@@ -69,17 +82,22 @@ struct Mapping
     std::int64_t totalSteps() const;
 
     /**
-     * Checks this mapping against the hierarchy and layer:
+     * Checks this mapping against the plan's hierarchy and layer and
+     * returns the first violation, in this order:
+     *  - the mapping has one level per hierarchy node,
      *  - factor products per dimension equal the layer extents,
-     *  - spatial products fit each node's mesh,
-     *  - spatial dims honor each node's spatial_dims constraint,
-     *  - hard wire-sharing: nodes with spatial_reuse for a tensor may only
-     *    map dims irrelevant to that tensor spatially (unless
-     *    flexible_spatial).
+     *  - then node by node: factors are positive, spatial products fit
+     *    the mesh, temporal dims honor temporal_dims, spatial dims honor
+     *    spatial_dims and the hard wire-sharing rule (nodes with
+     *    spatial_reuse for a tensor may only map dims irrelevant to that
+     *    tensor spatially, unless flexible_spatial).
      *
-     * Returns an empty string when valid, else a description of the first
-     * violation.
+     * Storage capacity is the nest analysis's verdict, not check()'s.
      */
+    Violation check(const SearchPlan& plan) const;
+
+    /** check() with the violation formatted: empty when valid, else a
+     *  description of the first violation. */
     std::string check(const spec::Hierarchy& hierarchy,
                       const Layer& layer) const;
 

@@ -74,7 +74,8 @@ struct NodeCounts
 struct NestResult
 {
     bool valid = false;
-    std::string invalidReason;
+    Violation violation;       //!< why not valid (typed)
+    std::string invalidReason; //!< violation's text (analyzeNest(h, m, l))
 
     std::vector<NodeCounts> nodes; //!< parallel to hierarchy.nodes
 
@@ -92,9 +93,20 @@ struct NestResult
  * Runs the nest analysis. Returns an invalid result (with a reason) when
  * the mapping fails validation or a storage capacity ("entries"
  * attribute) is exceeded; never throws for mapping-shaped problems.
+ * Builds a SearchPlan for the call; searches use the plan overload.
  */
 NestResult analyzeNest(const spec::Hierarchy& hierarchy,
                        const Mapping& mapping, const Layer& layer);
+
+/**
+ * The nest analysis of a mapping that passed mapping.check(plan), into
+ * @p result (its storage is reused, so a search loop allocates nothing
+ * per sample). Decides capacity from the per-level tiles first and
+ * stops there, before the traffic walk, when a node overflows; the
+ * violation is typed and invalidReason is left empty.
+ */
+void analyzeNest(const SearchPlan& plan, const Mapping& mapping,
+                 NestResult& result);
 
 } // namespace cimloop::mapping
 

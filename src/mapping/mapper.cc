@@ -7,73 +7,33 @@
 
 namespace cimloop::mapping {
 
-using spec::SpecNode;
-using spec::tensorIndex;
 using workload::dimIndex;
-using workload::dimRelevantTo;
 using workload::kAllDims;
-using workload::kAllTensors;
 
 Mapper::Mapper(const spec::Hierarchy& h, const Layer& l, MapperOptions opts)
-    : hierarchy(h), layer(l), options(opts), rng(opts.seed ? opts.seed : 1)
+    : hierarchy(h), layer(l), options(opts), rng(opts.seed ? opts.seed : 1),
+      search_plan(h, l), divisors(l)
 {
     CIM_ASSERT(!hierarchy.nodes.empty(), "mapper needs a hierarchy");
-}
-
-namespace {
-
-/** True when node @p n permits a temporal loop over @p d. */
-bool
-allowsTemporal(const SpecNode& n, Dim d)
-{
-    return n.temporalDims.empty() ||
-           std::find(n.temporalDims.begin(), n.temporalDims.end(), d) !=
-               n.temporalDims.end();
-}
-
-} // namespace
-
-std::vector<Dim>
-Mapper::allowedSpatialDims(int i) const
-{
-    const SpecNode& node = hierarchy.nodes[i];
-    std::vector<Dim> allowed;
-    for (Dim d : kAllDims) {
-        if (!node.spatialDims.empty() &&
-            std::find(node.spatialDims.begin(), node.spatialDims.end(), d) ==
-                node.spatialDims.end()) {
-            continue;
-        }
-        bool conflict = false;
-        if (!node.flexibleSpatial) {
-            for (TensorKind t : kAllTensors) {
-                if (node.spatialReuse[tensorIndex(t)] &&
-                    dimRelevantTo(t, d)) {
-                    conflict = true; // shared wire cannot carry distinct data
-                }
-            }
-        }
-        if (!conflict)
-            allowed.push_back(d);
-    }
-    return allowed;
 }
 
 Mapping
 Mapper::greedy() const
 {
+    const SearchPlan& plan = search_plan;
     Mapping m = Mapping::identity(hierarchy);
     DimSizes remaining = layer.dims;
 
-    const int num_nodes = static_cast<int>(hierarchy.nodes.size());
+    const int num_nodes = static_cast<int>(plan.nodes.size());
 
     // Spatial: innermost mesh first, largest allowed divisors.
     for (int i = num_nodes - 1; i >= 0; --i) {
-        const SpecNode& node = hierarchy.nodes[i];
-        std::int64_t budget = node.spatialFanout();
+        const NodePlan& node = plan.nodes[i];
+        std::int64_t budget = node.fanout;
         if (budget <= 1)
             continue;
-        for (Dim d : allowedSpatialDims(i)) {
+        for (int a = 0; a < node.numSpatialCandidates; ++a) {
+            Dim d = node.spatialCandidates[a];
             if (budget <= 1)
                 break;
             std::int64_t rem = remaining[dimIndex(d)];
@@ -81,7 +41,7 @@ Mapper::greedy() const
                 continue;
             // Largest divisor of rem that fits the budget.
             std::int64_t best = 1;
-            for (std::int64_t f : divisorsOf(rem)) {
+            for (std::int64_t f : divisors.of(d, rem)) {
                 if (f <= budget)
                     best = f;
             }
@@ -96,37 +56,22 @@ Mapper::greedy() const
     // Temporal: each leftover dimension goes to the outermost storage
     // node whose temporal_dims constraint permits it (node 0 as the
     // fallback host when it stores nothing).
-    std::vector<int> eligible;
-    for (int i = 0; i < num_nodes; ++i) {
-        bool stores_any = false;
-        for (TensorKind t : kAllTensors)
-            stores_any = stores_any || hierarchy.nodes[i].stores(t);
-        if (stores_any || i == 0)
-            eligible.push_back(i);
-    }
     for (Dim d : kAllDims) {
         if (remaining[dimIndex(d)] <= 1)
             continue;
-        bool placed = false;
-        for (int i : eligible) {
-            if (allowsTemporal(hierarchy.nodes[i], d)) {
-                m.levels[i].temporal[dimIndex(d)] =
-                    remaining[dimIndex(d)];
-                placed = true;
-                break;
-            }
-        }
-        if (!placed) {
+        int host = plan.restTaker[dimIndex(d)];
+        if (host < 0) {
             CIM_FATAL("no storage node permits a temporal loop over ",
                       workload::dimName(d), " for layer '", layer.name,
                       "' on hierarchy '", hierarchy.name, "'");
         }
+        m.levels[host].temporal[dimIndex(d)] = remaining[dimIndex(d)];
     }
 
     // Weight-stationary loop order everywhere: weight-relevant dims
     // outermost so the innermost block of weight-irrelevant loops
     // (N, P, Q, IB) keeps the array's weights resident.
-    for (int i : eligible) {
+    for (int i : plan.hosts) {
         m.levels[i].order = {Dim::C, Dim::K, Dim::R, Dim::S, Dim::WB,
                              Dim::N, Dim::P, Dim::Q, Dim::IB};
     }
@@ -135,40 +80,49 @@ Mapper::greedy() const
     return m;
 }
 
-Mapping
-Mapper::sample(Rng& rng) const
+void
+Mapper::sample(Rng& rng, Mapping& m) const
 {
-    Mapping m = Mapping::identity(hierarchy);
+    const SearchPlan& plan = search_plan;
+    const int num_nodes = static_cast<int>(plan.nodes.size());
+    m.levels.resize(num_nodes);
+    for (LevelMapping& lm : m.levels) {
+        lm.temporal = workload::onesDims();
+        lm.spatial = workload::onesDims();
+        lm.order.clear();
+    }
     DimSizes remaining = layer.dims;
-    const int num_nodes = static_cast<int>(hierarchy.nodes.size());
 
     // Spatial factors, innermost first. Bias toward high utilization
     // (the published macros' mappers do the same) but keep the space open.
     for (int i = num_nodes - 1; i >= 0; --i) {
-        const SpecNode& node = hierarchy.nodes[i];
-        std::int64_t budget = node.spatialFanout();
+        const NodePlan& node = plan.nodes[i];
+        std::int64_t budget = node.fanout;
         if (budget <= 1)
             continue;
-        std::vector<Dim> allowed = allowedSpatialDims(i);
+        std::array<Dim, workload::kNumDims> allowed = node.spatialCandidates;
+        const std::size_t num_allowed =
+            static_cast<std::size_t>(node.numSpatialCandidates);
         // Visit allowed dims in random order.
-        for (std::size_t a = allowed.size(); a > 1; --a)
+        for (std::size_t a = num_allowed; a > 1; --a)
             std::swap(allowed[a - 1], allowed[rng.below(a)]);
-        for (Dim d : allowed) {
+        for (std::size_t a = 0; a < num_allowed; ++a) {
+            Dim d = allowed[a];
             if (budget <= 1)
                 break;
             std::int64_t rem = remaining[dimIndex(d)];
             if (rem <= 1)
                 continue;
-            std::vector<std::int64_t> divs;
-            for (std::int64_t f : divisorsOf(rem)) {
-                if (f <= budget)
-                    divs.push_back(f);
-            }
+            // Divisors ascend, so those fitting the budget are a prefix.
+            std::span<const std::int64_t> divs = divisors.of(d, rem);
+            const std::size_t fitting = static_cast<std::size_t>(
+                std::upper_bound(divs.begin(), divs.end(), budget) -
+                divs.begin());
             std::int64_t f = 1;
             if (rng.uniform() < 0.7) {
-                f = divs.back(); // largest fitting divisor
+                f = divs[fitting - 1]; // largest fitting divisor
             } else {
-                f = divs[rng.below(divs.size())];
+                f = divs[rng.below(fitting)];
             }
             if (f > 1) {
                 m.levels[i].spatial[dimIndex(d)] = f;
@@ -181,39 +135,25 @@ Mapper::sample(Rng& rng) const
     // Temporal factors: split what remains of each dim across the storage
     // nodes (inner ones take random divisors; the outermost eligible node
     // takes the rest).
-    std::vector<int> eligible; // ascending = outermost first
-    for (int i = 0; i < num_nodes; ++i) {
-        bool stores_any = false;
-        for (TensorKind t : kAllTensors)
-            stores_any = stores_any || hierarchy.nodes[i].stores(t);
-        if (stores_any || i == 0)
-            eligible.push_back(i);
-    }
     for (Dim d : kAllDims) {
         std::int64_t rem = remaining[dimIndex(d)];
         if (rem <= 1)
             continue;
         // The outermost node permitting d takes whatever is left.
-        int rest_taker = -1;
-        for (int i : eligible) {
-            if (allowsTemporal(hierarchy.nodes[i], d)) {
-                rest_taker = i;
-                break;
-            }
-        }
+        const int rest_taker = plan.restTaker[dimIndex(d)];
         if (rest_taker < 0)
-            return m; // unmappable dim; caller's check() rejects it
+            return; // unmappable dim; caller's check() rejects it
         // Walk eligible nodes innermost-first, peeling random factors.
-        for (auto it = eligible.rbegin(); it != eligible.rend(); ++it) {
+        for (auto it = plan.hosts.rbegin(); it != plan.hosts.rend(); ++it) {
             int i = *it;
             if (i == rest_taker) {
                 m.levels[i].temporal[dimIndex(d)] *= rem;
                 rem = 1;
                 break;
             }
-            if (!allowsTemporal(hierarchy.nodes[i], d))
+            if (!(plan.nodes[i].temporalDims & dimBit(d)))
                 continue;
-            auto divs = divisorsOf(rem);
+            std::span<const std::int64_t> divs = divisors.of(d, rem);
             std::int64_t f = divs[rng.below(divs.size())];
             if (f > 1) {
                 m.levels[i].temporal[dimIndex(d)] = f;
@@ -227,17 +167,15 @@ Mapper::sample(Rng& rng) const
     }
 
     // Random permutation per node over the dims with temporal loops.
-    for (int i = 0; i < num_nodes; ++i) {
-        std::vector<Dim> order;
+    for (LevelMapping& lm : m.levels) {
+        std::vector<Dim>& order = lm.order;
         for (Dim d : kAllDims) {
-            if (m.levels[i].temporal[dimIndex(d)] > 1)
+            if (lm.temporal[dimIndex(d)] > 1)
                 order.push_back(d);
         }
         for (std::size_t a = order.size(); a > 1; --a)
             std::swap(order[a - 1], order[rng.below(a)]);
-        m.levels[i].order = order;
     }
-    return m;
 }
 
 namespace {
@@ -245,16 +183,15 @@ namespace {
 /** Recursion state for exhaustive enumeration. */
 struct Enumerator
 {
-    const spec::Hierarchy& hierarchy;
-    const Layer& layer;
+    const SearchPlan& plan;
+    const DivisorTable& divisors;
     std::size_t limit;
     std::vector<Mapping>& out;
-    std::vector<int> eligible; //!< temporal-loop hosts, outermost first
 
     void
     emit(Mapping& m)
     {
-        if (m.check(hierarchy, layer).empty()) {
+        if (!m.check(plan)) {
             if (out.size() >= limit) {
                 CIM_FATAL("mapspace exceeds the exhaustive limit of ",
                           limit, " mappings; use random search");
@@ -264,15 +201,15 @@ struct Enumerator
     }
 
     /** Permutations of each node's active temporal dims, innermost
-     *  choice last: recurse over eligible nodes. */
+     *  choice last: recurse over the temporal-loop hosts. */
     void
     permutations(Mapping& m, std::size_t who)
     {
-        if (who == eligible.size()) {
+        if (who == plan.hosts.size()) {
             emit(m);
             return;
         }
-        int node = eligible[who];
+        int node = plan.hosts[who];
         std::vector<Dim> active;
         for (Dim d : kAllDims) {
             if (m.levels[node].temporal[dimIndex(d)] > 1)
@@ -290,7 +227,7 @@ struct Enumerator
         } while (std::next_permutation(active.begin(), active.end()));
     }
 
-    /** Splits dim d's remaining extent across the eligible nodes. */
+    /** Splits dim d's remaining extent across the temporal-loop hosts. */
     void
     temporalSplit(Mapping& m, const DimSizes& remaining, int dim_idx)
     {
@@ -304,7 +241,7 @@ struct Enumerator
             temporalSplit(m, remaining, dim_idx + 1);
             return;
         }
-        // Ordered factorizations of rem over the eligible nodes.
+        // Ordered factorizations of rem over the hosts.
         splitOver(m, remaining, dim_idx, 0, rem);
     }
 
@@ -313,14 +250,14 @@ struct Enumerator
               std::size_t who, std::int64_t rem)
     {
         Dim d = kAllDims[dim_idx];
-        if (who == eligible.size()) {
+        if (who == plan.hosts.size()) {
             if (rem == 1)
                 temporalSplit(m, remaining, dim_idx + 1);
             return;
         }
-        int node = eligible[who];
-        bool allowed = allowsTemporal(hierarchy.nodes[node], d);
-        for (std::int64_t f : divisorsOf(rem)) {
+        int node = plan.hosts[who];
+        bool allowed = plan.nodes[node].temporalDims & dimBit(d);
+        for (std::int64_t f : divisors.of(d, rem)) {
             if (f > 1 && !allowed)
                 break; // divisors ascend; only f == 1 is permitted
             m.levels[node].temporal[dimIndex(d)] = f;
@@ -333,13 +270,13 @@ struct Enumerator
     void
     spatial(Mapping& m, DimSizes remaining, int node_rev)
     {
-        int num_nodes = static_cast<int>(hierarchy.nodes.size());
+        int num_nodes = static_cast<int>(plan.nodes.size());
         if (node_rev == num_nodes) {
             temporalSplit(m, remaining, 0);
             return;
         }
         int node = num_nodes - 1 - node_rev;
-        std::int64_t budget = hierarchy.nodes[node].spatialFanout();
+        std::int64_t budget = plan.nodes[node].fanout;
         if (budget <= 1) {
             spatial(m, remaining, node_rev + 1);
             return;
@@ -357,7 +294,7 @@ struct Enumerator
         }
         Dim d = kAllDims[dim_idx];
         std::int64_t rem = remaining[dimIndex(d)];
-        for (std::int64_t f : divisorsOf(rem)) {
+        for (std::int64_t f : divisors.of(d, rem)) {
             if (f > budget)
                 break;
             m.levels[node].spatial[dimIndex(d)] = f;
@@ -376,15 +313,7 @@ std::vector<Mapping>
 Mapper::exhaustive(std::size_t limit)
 {
     std::vector<Mapping> out;
-    std::vector<int> eligible;
-    for (int i = 0; i < static_cast<int>(hierarchy.nodes.size()); ++i) {
-        bool stores_any = false;
-        for (TensorKind t : kAllTensors)
-            stores_any = stores_any || hierarchy.nodes[i].stores(t);
-        if (stores_any || i == 0)
-            eligible.push_back(i);
-    }
-    Enumerator en{hierarchy, layer, limit, out, eligible};
+    Enumerator en{search_plan, divisors, limit, out};
     Mapping m = Mapping::identity(hierarchy);
     en.spatial(m, layer.dims, 0);
     return out;
@@ -403,15 +332,24 @@ Mapper::next()
 std::optional<Mapping>
 Mapper::next(Rng& rng, int& rejected) const
 {
+    Mapping m;
+    if (next(rng, rejected, m))
+        return m;
+    return std::nullopt;
+}
+
+bool
+Mapper::next(Rng& rng, int& rejected, Mapping& out) const
+{
     static obs::Counter& samples = obs::counter("mapping.mapper.samples");
     for (int attempt = 0; attempt < options.maxAttempts; ++attempt) {
         samples.add();
-        Mapping m = sample(rng);
-        if (m.check(hierarchy, layer).empty())
-            return m;
+        sample(rng, out);
+        if (!out.check(search_plan))
+            return true;
         ++rejected;
     }
-    return std::nullopt;
+    return false;
 }
 
 } // namespace cimloop::mapping

@@ -1,6 +1,5 @@
 #include "cimloop/mapping/mapping.hh"
 
-#include <algorithm>
 #include <sstream>
 
 #include "cimloop/common/error.hh"
@@ -32,21 +31,21 @@ LevelMapping::temporalSteps() const
     return steps;
 }
 
-std::vector<Dim>
+DimOrder
 LevelMapping::effectiveOrder() const
 {
-    std::vector<Dim> out;
-    auto contains = [&out](Dim d) {
-        return std::find(out.begin(), out.end(), d) != out.end();
+    DimOrder out;
+    DimMask placed = 0;
+    auto place = [&](Dim d) {
+        if (temporal[dimIndex(d)] > 1 && !(placed & dimBit(d))) {
+            placed |= dimBit(d);
+            out.dims[out.size++] = d;
+        }
     };
-    for (Dim d : order) {
-        if (temporal[dimIndex(d)] > 1 && !contains(d))
-            out.push_back(d);
-    }
-    for (Dim d : kAllDims) {
-        if (temporal[dimIndex(d)] > 1 && !contains(d))
-            out.push_back(d);
-    }
+    for (Dim d : order)
+        place(d);
+    for (Dim d : kAllDims)
+        place(d);
     return out;
 }
 
@@ -67,15 +66,14 @@ Mapping::totalSteps() const
     return steps;
 }
 
-std::string
-Mapping::check(const spec::Hierarchy& hierarchy, const Layer& layer) const
+Violation
+Mapping::check(const SearchPlan& plan) const
 {
-    std::ostringstream err;
-    if (levels.size() != hierarchy.nodes.size()) {
-        err << "mapping has " << levels.size() << " levels but hierarchy '"
-            << hierarchy.name << "' has " << hierarchy.nodes.size()
-            << " nodes";
-        return err.str();
+    using Kind = Violation::Kind;
+    if (levels.size() != plan.nodes.size()) {
+        return {.kind = Kind::LevelCount,
+                .have = static_cast<std::int64_t>(levels.size()),
+                .limit = static_cast<std::int64_t>(plan.nodes.size())};
     }
 
     // Factor products must reconstruct the layer extents.
@@ -83,76 +81,59 @@ Mapping::check(const spec::Hierarchy& hierarchy, const Layer& layer) const
         std::int64_t product = 1;
         for (const LevelMapping& lm : levels)
             product *= lm.temporal[dimIndex(d)] * lm.spatial[dimIndex(d)];
-        if (product != layer.size(d)) {
-            err << "dimension " << dimName(d) << ": factors multiply to "
-                << product << " but layer has extent " << layer.size(d);
-            return err.str();
+        if (product != plan.layer.size(d)) {
+            return {.kind = Kind::Extent, .dim = d, .have = product,
+                    .limit = plan.layer.size(d)};
         }
     }
 
     for (std::size_t i = 0; i < levels.size(); ++i) {
         const LevelMapping& lm = levels[i];
-        const spec::SpecNode& node = hierarchy.nodes[i];
+        const NodePlan& node = plan.nodes[i];
+        const int n = static_cast<int>(i);
 
         for (Dim d : kAllDims) {
-            if (lm.temporal[dimIndex(d)] < 1 || lm.spatial[dimIndex(d)] < 1) {
-                err << "node '" << node.name << "': non-positive factor for "
-                    << dimName(d);
-                return err.str();
-            }
+            if (lm.temporal[dimIndex(d)] < 1 || lm.spatial[dimIndex(d)] < 1)
+                return {.kind = Kind::NonPositive, .node = n, .dim = d};
         }
 
-        if (lm.spatialUsed() > node.spatialFanout()) {
-            err << "node '" << node.name << "': spatial factors use "
-                << lm.spatialUsed() << " instances but the mesh has only "
-                << node.spatialFanout();
-            return err.str();
+        if (lm.spatialUsed() > node.fanout) {
+            return {.kind = Kind::SpatialFanout, .node = n,
+                    .have = lm.spatialUsed(), .limit = node.fanout};
         }
 
         for (Dim d : kAllDims) {
             if (lm.temporal[dimIndex(d)] > 1 &&
-                !node.temporalDims.empty() &&
-                std::find(node.temporalDims.begin(),
-                          node.temporalDims.end(),
-                          d) == node.temporalDims.end()) {
-                err << "node '" << node.name << "': dimension "
-                    << dimName(d)
-                    << " is not in the node's temporal_dims constraint";
-                return err.str();
-            }
+                !(node.temporalDims & dimBit(d)))
+                return {.kind = Kind::TemporalDims, .node = n, .dim = d};
         }
 
         for (Dim d : kAllDims) {
-            std::int64_t s = lm.spatial[dimIndex(d)];
-            if (s <= 1)
+            if (lm.spatial[dimIndex(d)] <= 1)
                 continue;
-            // spatial_dims constraint.
-            if (!node.spatialDims.empty() &&
-                std::find(node.spatialDims.begin(), node.spatialDims.end(),
-                          d) == node.spatialDims.end()) {
-                err << "node '" << node.name << "': dimension " << dimName(d)
-                    << " is not in the node's spatial_dims constraint";
-                return err.str();
-            }
+            if (!(node.spatialDims & dimBit(d)))
+                return {.kind = Kind::SpatialDims, .node = n, .dim = d};
             // Hard wire-sharing: a shared wire (spatial_reuse) cannot carry
             // distinct data, so dims relevant to the reused tensor cannot
             // be spatial here.
-            if (!node.flexibleSpatial) {
-                for (TensorKind t : kAllTensors) {
-                    if (node.spatialReuse[spec::tensorIndex(t)] &&
-                        dimRelevantTo(t, d)) {
-                        err << "node '" << node.name << "': "
-                            << workload::tensorName(t)
-                            << " is spatially reused (shared wire) but "
-                            << dimName(d)
-                            << " would put distinct data on the wire";
-                        return err.str();
-                    }
+            if (!(node.wireDims & dimBit(d)))
+                continue;
+            for (TensorKind t : kAllTensors) {
+                if (node.spatialReuse[spec::tensorIndex(t)] &&
+                    dimRelevantTo(t, d)) {
+                    return {.kind = Kind::SharedWire, .node = n, .dim = d,
+                            .tensor = t};
                 }
             }
         }
     }
-    return "";
+    return {};
+}
+
+std::string
+Mapping::check(const spec::Hierarchy& hierarchy, const Layer& layer) const
+{
+    return check(SearchPlan(hierarchy, layer)).message(hierarchy);
 }
 
 void
@@ -188,10 +169,10 @@ Mapping::toYamlText(const spec::Hierarchy& hierarchy) const
                 }
             }
             oss << "}\n";
-            std::vector<Dim> order = lm.effectiveOrder();
+            DimOrder order = lm.effectiveOrder();
             oss << "    order: [";
-            for (std::size_t j = 0; j < order.size(); ++j)
-                oss << (j ? ", " : "") << dimName(order[j]);
+            for (int j = 0; j < order.size; ++j)
+                oss << (j ? ", " : "") << dimName(order.dims[j]);
             oss << "]\n";
         }
         if (any_spatial) {

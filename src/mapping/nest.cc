@@ -1,60 +1,47 @@
 #include "cimloop/mapping/nest.hh"
 
-#include <algorithm>
-
 #include "cimloop/common/error.hh"
 
 namespace cimloop::mapping {
 
-using spec::SpecNode;
 using spec::TemporalDirective;
 using spec::tensorIndex;
 using workload::dimIndex;
-using workload::dimRelevantTo;
 using workload::kAllDims;
 using workload::kAllTensors;
 
 namespace {
 
-/** Product of all mapping factors (temporal x spatial) of node @p i for
- *  dims relevant / irrelevant to tensor @p t. */
+/** Product of node @p lm's spatial factors over the @p relevant dims. */
 std::int64_t
-spatialRelevant(const LevelMapping& lm, TensorKind t)
+spatialRelevant(const LevelMapping& lm, DimMask relevant)
 {
     std::int64_t rel = 1;
     for (Dim d : kAllDims) {
-        if (dimRelevantTo(t, d))
+        if (relevant & dimBit(d))
             rel *= lm.spatial[dimIndex(d)];
     }
     return rel;
 }
 
-std::int64_t
-spatialIrrelevant(const LevelMapping& lm, TensorKind t)
+/** Dims with a temporal loop (factor > 1) at @p lm. */
+DimMask
+temporalLoops(const LevelMapping& lm)
 {
-    return lm.spatialUsed() / spatialRelevant(lm, t);
-}
-
-/** Extents covered strictly inside node @p i (all factors of nodes > i). */
-DimSizes
-extentsBelow(const Mapping& mapping, int i)
-{
-    DimSizes cum = workload::onesDims();
-    for (std::size_t j = i + 1; j < mapping.levels.size(); ++j) {
-        const LevelMapping& lm = mapping.levels[j];
-        for (Dim d : kAllDims) {
-            cum[dimIndex(d)] *=
-                lm.temporal[dimIndex(d)] * lm.spatial[dimIndex(d)];
-        }
+    DimMask loops = 0;
+    for (Dim d : kAllDims) {
+        if (lm.temporal[dimIndex(d)] > 1)
+            loops |= dimBit(d);
     }
-    return cum;
+    return loops;
 }
 
 /**
- * Permutation-aware temporal eviction product for tensor @p t stored at
- * node @p b: the number of times node b's tile is (re)fetched due to the
- * temporal loops outside its storage (nodes 0..b, including b's own
- * temporal loops, which iterate over successive tiles).
+ * Permutation-aware temporal eviction product for a tensor (whose
+ * dims are @p relevant) stored at node @p b: the number of times node
+ * b's tile is (re)fetched due to the temporal loops outside its storage
+ * (nodes 0..b, including b's own temporal loops, which iterate over
+ * successive tiles).
  *
  * A relevant loop always multiplies (each iteration is new data). An
  * irrelevant loop multiplies only when a relevant temporal loop sits
@@ -63,35 +50,31 @@ extentsBelow(const Mapping& mapping, int i)
  * repeats and must be refetched. Otherwise the tile is stationary.
  */
 double
-temporalEvictions(const spec::Hierarchy& hierarchy, const Mapping& mapping,
-                  TensorKind t, int b)
+temporalEvictions(const Mapping& mapping, DimMask relevant, int b)
 {
-    (void)hierarchy;
-    // relevantInside[j] = true when a relevant temporal loop exists at any
-    // node k with j < k <= b.
-    std::vector<bool> relevant_inside(b + 2, false);
+    // The innermost node k <= b with a relevant temporal loop: every
+    // node j < k has one strictly inside it.
+    int innermost_relevant = -1;
     for (int j = b; j >= 0; --j) {
-        bool here = false;
-        for (Dim d : kAllDims) {
-            if (dimRelevantTo(t, d) &&
-                mapping.levels[j].temporal[dimIndex(d)] > 1) {
-                here = true;
-            }
+        if (temporalLoops(mapping.levels[j]) & relevant) {
+            innermost_relevant = j;
+            break;
         }
-        relevant_inside[j] = relevant_inside[j + 1] || here;
     }
 
     double product = 1.0;
     for (int j = 0; j <= b; ++j) {
         const LevelMapping& lm = mapping.levels[j];
-        std::vector<Dim> order = lm.effectiveOrder(); // outermost first
+        if (!temporalLoops(lm))
+            continue;
+        DimOrder order = lm.effectiveOrder(); // outermost first
         // Walk this node's loops innermost-first, tracking whether a
         // relevant loop lies inside the current position.
-        bool relevant_below = relevant_inside[j + 1];
-        for (auto it = order.rbegin(); it != order.rend(); ++it) {
-            Dim d = *it;
+        bool relevant_below = innermost_relevant > j;
+        for (int k = order.size - 1; k >= 0; --k) {
+            Dim d = order.dims[k];
             std::int64_t f = lm.temporal[dimIndex(d)];
-            if (dimRelevantTo(t, d)) {
+            if (relevant & dimBit(d)) {
                 product *= static_cast<double>(f);
                 relevant_below = true;
             } else if (relevant_below) {
@@ -103,43 +86,80 @@ temporalEvictions(const spec::Hierarchy& hierarchy, const Mapping& mapping,
     return product;
 }
 
-/** True when tensor @p t can be multicast/reduced across node @p j. */
-bool
-reusesSpatially(const SpecNode& node, TensorKind t)
-{
-    return node.spatialReuse[tensorIndex(t)] || node.flexibleSpatial;
-}
-
 } // namespace
 
 NestResult
 analyzeNest(const spec::Hierarchy& hierarchy, const Mapping& mapping,
             const Layer& layer)
 {
+    const SearchPlan plan(hierarchy, layer);
     NestResult result;
-    result.invalidReason = mapping.check(hierarchy, layer);
-    if (!result.invalidReason.empty())
-        return result;
+    result.violation = mapping.check(plan);
+    if (!result.violation)
+        analyzeNest(plan, mapping, result);
+    result.invalidReason = result.violation.message(hierarchy);
+    return result;
+}
 
-    const int num_nodes = static_cast<int>(hierarchy.nodes.size());
-    result.nodes.resize(num_nodes);
+void
+analyzeNest(const SearchPlan& plan, const Mapping& mapping,
+            NestResult& result)
+{
+    const int num_nodes = static_cast<int>(plan.nodes.size());
+    result.valid = false;
+    result.violation = {};
+    result.invalidReason.clear();
+    result.nodes.assign(num_nodes, NodeCounts{});
     result.steps = mapping.totalSteps();
 
     result.totalOps = 1.0;
     for (Dim d : kAllDims)
-        result.totalOps *= static_cast<double>(layer.size(d));
+        result.totalOps *= static_cast<double>(plan.layer.size(d));
+
+    // Tiles at storage nodes (per instance, slice units): the footprint
+    // of the extents covered strictly inside the node (all factors of
+    // nodes > i).
+    DimSizes below = workload::onesDims();
+    for (int i = num_nodes - 1; i >= 0; --i) {
+        for (TensorKind t : kAllTensors) {
+            if (plan.nodes[i].stores[tensorIndex(t)]) {
+                result.nodes[i].tensors[tensorIndex(t)].tile =
+                    Layer::tensorTile(t, below);
+            }
+        }
+        const LevelMapping& lm = mapping.levels[i];
+        for (Dim d : kAllDims)
+            below[dimIndex(d)] *=
+                lm.temporal[dimIndex(d)] * lm.spatial[dimIndex(d)];
+    }
+
+    // Capacity: per-instance stored tiles must fit an 'entries'
+    // attribute when present. Decided here, so a mapping that overflows
+    // a node never pays for the traffic walk.
+    for (int i = 0; i < num_nodes; ++i) {
+        const NodePlan& node = plan.nodes[i];
+        if (!node.hasEntries)
+            continue;
+        std::int64_t occupied = 0;
+        for (TensorKind t : kAllTensors) {
+            if (node.stores[tensorIndex(t)])
+                occupied += result.nodes[i].tensors[tensorIndex(t)].tile;
+        }
+        if (occupied > node.entries) {
+            result.violation = {.kind = Violation::Kind::Capacity,
+                                .node = i,
+                                .have = occupied,
+                                .limit = node.entries};
+            return;
+        }
+    }
 
     // Instance counts: node i is replicated by the spatial factors of all
-    // nodes scoping it (indices < i).
+    // nodes scoping it (indices < i); its own mesh also contributes.
+    std::int64_t used = 1, total = 1;
     for (int i = 0; i < num_nodes; ++i) {
-        std::int64_t used = 1, total = 1;
-        for (int j = 0; j < i; ++j) {
-            used *= mapping.levels[j].spatialUsed();
-            total *= hierarchy.nodes[j].spatialFanout();
-        }
-        // A node's own mesh also contributes to its own instance count.
         used *= mapping.levels[i].spatialUsed();
-        total *= hierarchy.nodes[i].spatialFanout();
+        total *= plan.nodes[i].fanout;
         result.nodes[i].usedInstances = used;
         result.nodes[i].totalInstances = total;
         result.nodes[i].utilization =
@@ -150,22 +170,12 @@ analyzeNest(const spec::Hierarchy& hierarchy, const Mapping& mapping,
     // Per-tensor traffic analysis.
     for (TensorKind t : kAllTensors) {
         const int ti = tensorIndex(t);
+        const DimMask relevant = plan.relevant[ti];
 
         // Storage nodes for t, ascending index (outermost first).
-        std::vector<int> storages;
-        for (int i = 0; i < num_nodes; ++i) {
-            if (hierarchy.nodes[i].stores(t))
-                storages.push_back(i);
-        }
+        const std::vector<int>& storages = plan.storages[ti];
         CIM_ASSERT(!storages.empty(), "validate() guarantees storage for ",
                    workload::tensorName(t));
-
-        // Tiles at storage nodes (per instance, slice units).
-        for (int b : storages) {
-            DimSizes below = extentsBelow(mapping, b);
-            result.nodes[b].tensors[ti].tile =
-                Layer::tensorTile(t, below);
-        }
 
         // Demand segments run from each source (compute, or an inner
         // storage node) up to the next outer storage node (or the top).
@@ -201,16 +211,17 @@ analyzeNest(const spec::Hierarchy& hierarchy, const Mapping& mapping,
                     stream *= static_cast<double>(
                         mapping.levels[j].spatialUsed());
                 }
-                stream *= temporalEvictions(hierarchy, mapping, t, source);
+                stream *= temporalEvictions(mapping, relevant, source);
             }
 
             // Walk node boundaries from the source's own mesh boundary
             // outward to the sink.
             int start = (source == num_nodes) ? num_nodes - 1 : source;
             for (int k = start; k > sink; --k) {
-                const SpecNode& node = hierarchy.nodes[k];
+                const NodePlan& node = plan.nodes[k];
                 const LevelMapping& lm = mapping.levels[k];
-                std::int64_t s_irr = spatialIrrelevant(lm, t);
+                std::int64_t s_irr =
+                    lm.spatialUsed() / spatialRelevant(lm, relevant);
 
                 // Crossing node k's mesh boundary: a shared wire
                 // multicasts (Inputs/Weights) or sums (Outputs) the
@@ -218,7 +229,7 @@ analyzeNest(const spec::Hierarchy& hierarchy, const Mapping& mapping,
                 // copies stay in flight; coalescers track them via
                 // `pending`.
                 if (s_irr > 1) {
-                    if (reusesSpatially(node, t))
+                    if (node.reusesSpatially[ti])
                         stream /= static_cast<double>(s_irr);
                     else
                         pending *= static_cast<double>(s_irr);
@@ -231,7 +242,7 @@ analyzeNest(const spec::Hierarchy& hierarchy, const Mapping& mapping,
                     continue;
                 }
 
-                TemporalDirective dir = node.directiveFor(t);
+                TemporalDirective dir = node.directive[ti];
                 if (dir == TemporalDirective::NoCoalesce) {
                     result.nodes[k].tensors[ti].actions += stream;
                 } else if (dir == TemporalDirective::Coalesce) {
@@ -250,28 +261,7 @@ analyzeNest(const spec::Hierarchy& hierarchy, const Mapping& mapping,
         }
     }
 
-    // Capacity checks: per-instance stored tiles must fit an 'entries'
-    // attribute when present.
-    for (int i = 0; i < num_nodes; ++i) {
-        const SpecNode& node = hierarchy.nodes[i];
-        if (!node.hasAttr("entries"))
-            continue;
-        std::int64_t entries = node.attrInt("entries", 0);
-        std::int64_t occupied = 0;
-        for (TensorKind t : kAllTensors) {
-            if (node.stores(t))
-                occupied += result.nodes[i].tensors[tensorIndex(t)].tile;
-        }
-        if (occupied > entries) {
-            result.invalidReason = cimloop::detail::concatMessage(
-                "node '", node.name, "': tile of ", occupied,
-                " entries exceeds capacity ", entries);
-            return result;
-        }
-    }
-
     result.valid = true;
-    return result;
 }
 
 } // namespace cimloop::mapping

@@ -29,7 +29,26 @@
 #include <string>
 #include <vector>
 
+#include "cimloop/serve/protocol.hh"
+
 namespace cimloop::serve {
+
+/** `cimloop serve` flags. */
+struct ServeFlags
+{
+    ServeConfig config;
+    bool help = false;
+};
+
+/**
+ * Parses serve's own flags (argv after the `serve` word) into @p out;
+ * returns false with a message in @p error on a bad flag. Integer flags
+ * go through parseIntFlag: --threads must lie in [1, INT_MAX],
+ * --cache-mb in [0, SIZE_MAX >> 20] (so the byte budget does not
+ * overflow) and --max-line-bytes in [1024, INT64_MAX].
+ */
+bool parseServeFlags(const std::vector<std::string>& args, ServeFlags& out,
+                     std::string& error);
 
 /** Usage text for `cimloop serve --help`. */
 std::string serveUsage();

@@ -6,7 +6,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -17,6 +19,7 @@
 
 #include "cimloop/cli/cli.hh"
 #include "cimloop/common/cancel.hh"
+#include "cimloop/common/util.hh"
 #include "cimloop/engine/evaluate.hh"
 #include "cimloop/serve/protocol.hh"
 
@@ -179,13 +182,8 @@ serveConnection(ServerContext& ctx, int fd,
     }
 }
 
-struct ServeFlags
-{
-    ServeConfig config;
-    bool help = false;
-};
+} // namespace
 
-/** Parses serve's own flags; returns false with a message on error. */
 bool
 parseServeFlags(const std::vector<std::string>& args, ServeFlags& out,
                 std::string& error)
@@ -200,40 +198,42 @@ parseServeFlags(const std::vector<std::string>& args, ServeFlags& out,
         v = args[++i];
         return true;
     };
-    const auto number = [&](const std::string& flag, long long min_v,
-                            long long& v) -> bool {
+    // The cache budget is --cache-mb << 20 bytes, so its bound keeps that
+    // shift inside size_t.
+    constexpr std::int64_t kMaxCacheMb =
+        static_cast<std::int64_t>(std::numeric_limits<std::size_t>::max() >>
+                                  20);
+    constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+    constexpr std::int64_t kInt64Max =
+        std::numeric_limits<std::int64_t>::max();
+    const auto number = [&](const std::string& flag, std::int64_t lo,
+                            std::int64_t hi) -> std::optional<std::int64_t> {
         std::string s;
         if (!value(flag, s))
-            return false;
-        errno = 0;
-        char* end = nullptr;
-        v = std::strtoll(s.c_str(), &end, 10);
-        if (errno != 0 || end == s.c_str() || *end != '\0' || v < min_v) {
-            error = flag + " wants an integer >= " +
-                    std::to_string(min_v) + ", got \"" + s + "\"";
-            return false;
-        }
-        return true;
+            return std::nullopt;
+        return parseIntFlag(flag, s, lo, hi, error);
     };
 
     for (; i < args.size(); ++i) {
         const std::string& flag = args[i];
-        long long n = 0;
         if (flag == "--listen") {
             if (!value(flag, out.config.listenPath))
                 return false;
         } else if (flag == "--cache-mb") {
-            if (!number(flag, 0, n))
+            std::optional<std::int64_t> n = number(flag, 0, kMaxCacheMb);
+            if (!n)
                 return false;
-            out.config.cacheMb = static_cast<std::size_t>(n);
+            out.config.cacheMb = static_cast<std::size_t>(*n);
         } else if (flag == "--threads") {
-            if (!number(flag, 1, n))
+            std::optional<std::int64_t> n = number(flag, 1, kIntMax);
+            if (!n)
                 return false;
-            out.config.defaultThreads = static_cast<int>(n);
+            out.config.defaultThreads = static_cast<int>(*n);
         } else if (flag == "--max-line-bytes") {
-            if (!number(flag, 1024, n))
+            std::optional<std::int64_t> n = number(flag, 1024, kInt64Max);
+            if (!n)
                 return false;
-            out.config.maxLineBytes = static_cast<std::size_t>(n);
+            out.config.maxLineBytes = static_cast<std::size_t>(*n);
         } else if (flag == "--help" || flag == "-h") {
             out.help = true;
         } else {
@@ -247,8 +247,6 @@ parseServeFlags(const std::vector<std::string>& args, ServeFlags& out,
     }
     return true;
 }
-
-} // namespace
 
 std::string
 serveUsage()

@@ -61,6 +61,68 @@ TEST(Parse, Errors)
                  FatalError);
 }
 
+/** The FatalError text parseArgs raises for @p args ("" if none). */
+std::string
+parseError(std::initializer_list<const char*> args)
+{
+    try {
+        parse(args);
+    } catch (const FatalError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Parse, IntegerFlagsAreRangeChecked)
+{
+    // A value beyond int must not wrap: 4294967297 would narrow to 1.
+    EXPECT_EQ(parseError({"--macro", "base", "--network", "mvm",
+                          "--mappings", "4294967297"}),
+              "fatal: flag --mappings must be within [1, 2147483647], got "
+              "4294967297");
+    EXPECT_EQ(parseError({"--macro", "base", "--network", "mvm",
+                          "--threads", "4294967297"}),
+              "fatal: flag --threads must be within [1, 2147483647], got "
+              "4294967297");
+    EXPECT_EQ(parseError({"--macro", "base", "--network", "mvm",
+                          "--mappings", "0"}),
+              "fatal: flag --mappings must be within [1, 2147483647], got 0");
+    EXPECT_EQ(parseError({"--macro", "base", "--network", "mvm",
+                          "--dac-bits", "4294967298"}),
+              "fatal: flag --dac-bits must be within [1, 2147483647], got "
+              "4294967298");
+    EXPECT_EQ(parseError({"--macro", "base", "--network", "mvm",
+                          "--cell-bits", "-1"}),
+              "fatal: flag --cell-bits must be within [1, 2147483647], "
+              "got -1");
+    EXPECT_EQ(parseError({"--macro", "base", "--network", "mvm",
+                          "--input-bits", "17"}),
+              "fatal: flag --input-bits must be within [1, 16], got 17");
+    EXPECT_EQ(parseError({"--macro", "base", "--network", "mvm",
+                          "--weight-bits", "4294967304"}),
+              "fatal: flag --weight-bits must be within [1, 16], "
+              "got 4294967304");
+    // Beyond 64 bits is out of range too, not "not an integer".
+    EXPECT_EQ(parseError({"--macro", "base", "--network", "mvm",
+                          "--mappings", "99999999999999999999"}),
+              "fatal: flag --mappings must be within [1, 2147483647], got "
+              "99999999999999999999");
+    EXPECT_EQ(parseError({"--macro", "base", "--network", "mvm",
+                          "--mappings", "12x"}),
+              "fatal: flag --mappings expects an integer, got '12x'");
+    EXPECT_EQ(parseError({"--sweep", "s.yaml", "--chunk-size", "0"}),
+              "fatal: flag --chunk-size must be within "
+              "[1, 9223372036854775807], got 0");
+
+    CliOptions o = parse({"--macro", "base", "--network", "mvm",
+                          "--mappings", "2147483647", "--threads", "3",
+                          "--input-bits", "16", "--weight-bits", "1"});
+    EXPECT_EQ(o.mappings, 2147483647);
+    EXPECT_EQ(o.threads, 3);
+    EXPECT_EQ(o.inputBits, 16);
+    EXPECT_EQ(o.weightBits, 1);
+}
+
 TEST(Run, HelpExitsZero)
 {
     std::ostringstream out, err;

@@ -19,6 +19,7 @@
 #include "cimloop/common/util.hh"
 #include "cimloop/engine/evaluate.hh"
 #include "cimloop/serve/json.hh"
+#include "cimloop/serve/server.hh"
 
 namespace cimloop::serve {
 namespace {
@@ -360,6 +361,59 @@ TEST(ServeExec, ExecutionFailureIsStructuredAndSurvivable)
     ASSERT_TRUE(message && message->isString());
     EXPECT_FALSE(message->text.empty());
     // The daemon keeps serving after a failed evaluation.
+    EXPECT_TRUE(okField(parseResponse(h.call("{\"kind\":\"ping\"}"))));
+}
+
+TEST(ServeFlags, IntegerFlagsAreRangeChecked)
+{
+    auto parse = [](std::vector<std::string> args, ServeFlags& flags) {
+        std::string error;
+        args.insert(args.begin(), {"--listen", "/tmp/unused.sock"});
+        return parseServeFlags(args, flags, error) ? std::string() : error;
+    };
+    ServeFlags flags;
+    EXPECT_EQ(parse({"--threads", "4294967297"}, flags),
+              "flag --threads must be within [1, 2147483647], got "
+              "4294967297");
+    EXPECT_EQ(parse({"--threads", "0"}, flags),
+              "flag --threads must be within [1, 2147483647], got 0");
+    // --cache-mb << 20 must fit the byte budget.
+    EXPECT_EQ(parse({"--cache-mb", "18446744073709551615"}, flags),
+              "flag --cache-mb must be within [0, 17592186044415], got "
+              "18446744073709551615");
+    EXPECT_EQ(parse({"--cache-mb", "17592186044416"}, flags),
+              "flag --cache-mb must be within [0, 17592186044415], got "
+              "17592186044416");
+    EXPECT_EQ(parse({"--max-line-bytes", "12"}, flags),
+              "flag --max-line-bytes must be within [1024, "
+              "9223372036854775807], got 12");
+    EXPECT_EQ(parse({"--threads", "two"}, flags),
+              "flag --threads expects an integer, got 'two'");
+
+    ServeFlags ok;
+    EXPECT_EQ(parse({"--threads", "3", "--cache-mb", "17592186044415"}, ok),
+              "");
+    EXPECT_EQ(ok.config.defaultThreads, 3);
+    EXPECT_EQ(ok.config.cacheMb, std::size_t{17592186044415});
+}
+
+TEST(ServeExec, OutOfRangeMappingsIsAStructuredError)
+{
+    // The request's fields become CLI flags, so a value that would
+    // narrow to 1 mapping is the CLI's range error, not a 1-sample run.
+    Harness h;
+    JsonValue doc = parseResponse(
+        h.call("{\"id\":1,\"kind\":\"evaluate\",\"macro\":\"base\","
+               "\"network\":\"mvm\",\"mappings\":4294967297}"));
+    EXPECT_FALSE(okField(doc));
+    const JsonValue* err = doc.get("error");
+    ASSERT_TRUE(err && err->isObject());
+    const JsonValue* message = err->get("message");
+    ASSERT_TRUE(message && message->isString());
+    EXPECT_NE(message->text.find("flag --mappings must be within "
+                                 "[1, 2147483647], got 4294967297"),
+              std::string::npos)
+        << message->text;
     EXPECT_TRUE(okField(parseResponse(h.call("{\"kind\":\"ping\"}"))));
 }
 
