@@ -272,8 +272,8 @@ BENCHMARK(BM_PmfSliceMixture);
 void
 BM_RefsimGnormWalk(benchmark::State& state)
 {
-    // The refsim inner loop in isolation: per-(k, wb) dotPair over a
-    // 512-row tile, the dominant cost of simulateVector.
+    // The paired refsim kernel in isolation: per-(k, wb) dotPair over a
+    // 512-row tile, one input slice at a time.
     constexpr std::size_t kRows = 512;
     constexpr std::size_t kCols = 128; // k_total * wb rows of g_norm
     std::vector<double> xs(kRows), xs2(kRows), g(kCols * kRows);
@@ -333,6 +333,38 @@ BM_RefsimGnormWalkNaive(benchmark::State& state)
                             static_cast<std::int64_t>(kRows * kCols));
 }
 BENCHMARK(BM_RefsimGnormWalkNaive);
+
+void
+BM_RefsimTileWalk(benchmark::State& state)
+{
+    // The value-level walk's inner loop: one vector's 8 input-bit slices
+    // (1-bit DAC levels, rows of a 1152-wide slice buffer) against every
+    // conductance row of a 128-row tile, one dotRows pass per row.
+    constexpr std::size_t kTileRows = 128;
+    constexpr std::size_t kSlices = 8;
+    constexpr std::size_t kStride = 1152;     // the layer's C * R * S
+    constexpr std::size_t kCondRows = 512;    // k * wb rows in the tile
+    std::vector<double> xn(kSlices * kStride), tile(kCondRows * kTileRows);
+    Rng rng(7);
+    for (double& v : xn)
+        v = rng.uniform() < 0.5 ? 0.0 : 1.0;
+    for (double& v : tile)
+        v = rng.uniform() < 0.5 ? 0.0 : 1.0;
+    std::vector<double> dots(kSlices);
+    for (auto _ : state) {
+        double total = 0.0;
+        for (std::size_t r = 0; r < kCondRows; ++r) {
+            dist::dotRows(xn.data(), kStride, kSlices, &tile[r * kTileRows],
+                          kTileRows, dots.data());
+            total += dots[0] + dots[kSlices - 1];
+        }
+        benchmark::DoNotOptimize(total);
+    }
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<std::int64_t>(kSlices * kCondRows * kTileRows));
+}
+BENCHMARK(BM_RefsimTileWalk);
 
 refsim::RefSimConfig
 refsimBenchConfig()

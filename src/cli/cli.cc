@@ -167,7 +167,6 @@ exit codes:
 namespace {
 
 constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
-constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
 constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
 
 /** An integer flag value within [lo, hi]; fatal otherwise. */
@@ -226,8 +225,12 @@ parseArgs(const std::vector<std::string>& args)
         } else if (flag == "--mappings") {
             opts.mappings = int_value(1, kIntMax);
         } else if (flag == "--seed") {
-            opts.seed = static_cast<std::uint64_t>(
-                parseInt(flag, value(), kInt64Min, kInt64Max));
+            std::string error;
+            std::optional<std::uint64_t> seed =
+                parseUint64Flag(flag, value(), error);
+            if (!seed)
+                CIM_FATAL(error);
+            opts.seed = *seed;
             opts.seedGiven = true;
         } else if (flag == "--threads") {
             opts.threads = int_value(1, kIntMax);

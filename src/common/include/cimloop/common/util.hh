@@ -99,6 +99,14 @@ std::optional<std::int64_t> parseIntFlag(const std::string& flag,
                                          std::string& error);
 
 /**
+ * parseIntFlag over the whole unsigned range [0, 2^64 - 1], for seeds.
+ * A negative value is a range error, never a wrap to a huge seed.
+ */
+std::optional<std::uint64_t> parseUint64Flag(const std::string& flag,
+                                             const std::string& text,
+                                             std::string& error);
+
+/**
  * Deterministic 64-bit xorshift* generator. Used instead of std::mt19937 in
  * hot loops and wherever cross-platform reproducibility of sampled values
  * matters (the reference simulator, the mapper's random search).

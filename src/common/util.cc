@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
@@ -155,6 +156,30 @@ parseIntFlag(const std::string& flag, const std::string& text,
     if (errno == ERANGE || v < lo || v > hi) {
         error = "flag " + flag + " must be within [" + std::to_string(lo) +
                 ", " + std::to_string(hi) + "], got " + text;
+        return std::nullopt;
+    }
+    return v;
+}
+
+std::optional<std::uint64_t>
+parseUint64Flag(const std::string& flag, const std::string& text,
+                std::string& error)
+{
+    errno = 0;
+    char* end = nullptr;
+    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+    if (end == text.c_str() ||
+        static_cast<std::size_t>(end - text.c_str()) != text.size()) {
+        error = "flag " + flag + " expects an integer, got '" + text + "'";
+        return std::nullopt;
+    }
+    // strtoull negates a leading '-' instead of rejecting it, so "-1"
+    // parses as 2^64 - 1; the only '-' it accepts is that sign.
+    const bool negative = text.find('-') != std::string::npos;
+    if (errno == ERANGE || (negative && v != 0)) {
+        error = "flag " + flag + " must be within [0, " +
+                std::to_string(std::numeric_limits<std::uint64_t>::max()) +
+                "], got " + text;
         return std::nullopt;
     }
     return v;

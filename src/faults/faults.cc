@@ -148,33 +148,51 @@ perturbConductances(const FaultModel& model, std::uint64_t fault_seed,
 {
     if (!model.cellFaultsEnabled())
         return;
-    static obs::Counter& c_total = obs::counter("faults.cells.total");
-    static obs::Counter& c_off = obs::counter("faults.cells.stuck_off");
-    static obs::Counter& c_on = obs::counter("faults.cells.stuck_on");
-    static obs::Counter& c_varied = obs::counter("faults.cells.varied");
+    CellFaultTally tally;
+    perturbConductances(model, fault_seed, 0, g_norm.data(), g_norm.size(),
+                        tally);
+    countCellFaults(tally);
+}
+
+void
+perturbConductances(const FaultModel& model, std::uint64_t fault_seed,
+                    std::uint64_t first, double* g, std::size_t n,
+                    CellFaultTally& tally)
+{
+    if (!model.cellFaultsEnabled())
+        return;
     const double p_off = model.stuckOffRate;
     const double p_on = model.stuckOnRate;
     const double sigma = model.conductanceSigma;
     const double log_shift = -0.5 * sigma * sigma; // mean-preserving
-    std::uint64_t n_off = 0, n_on = 0, n_varied = 0;
-    for (std::size_t i = 0; i < g_norm.size(); ++i) {
-        Rng rng = Rng::forStream(fault_seed, i);
+    for (std::size_t i = 0; i < n; ++i) {
+        Rng rng = Rng::forStream(fault_seed, first + i);
         double u = rng.uniform();
         if (u < p_off) {
-            g_norm[i] = 0.0;
-            ++n_off;
+            g[i] = 0.0;
+            ++tally.stuckOff;
         } else if (u < p_off + p_on) {
-            g_norm[i] = 1.0;
-            ++n_on;
+            g[i] = 1.0;
+            ++tally.stuckOn;
         } else if (sigma > 0.0) {
-            g_norm[i] *= std::exp(sigma * rng.gaussian() + log_shift);
-            ++n_varied;
+            g[i] *= std::exp(sigma * rng.gaussian() + log_shift);
+            ++tally.varied;
         }
     }
-    c_total.add(g_norm.size());
-    c_off.add(n_off);
-    c_on.add(n_on);
-    c_varied.add(n_varied);
+    tally.total += n;
+}
+
+void
+countCellFaults(const CellFaultTally& tally)
+{
+    static obs::Counter& c_total = obs::counter("faults.cells.total");
+    static obs::Counter& c_off = obs::counter("faults.cells.stuck_off");
+    static obs::Counter& c_on = obs::counter("faults.cells.stuck_on");
+    static obs::Counter& c_varied = obs::counter("faults.cells.varied");
+    c_total.add(tally.total);
+    c_off.add(tally.stuckOff);
+    c_on.add(tally.stuckOn);
+    c_varied.add(tally.varied);
 }
 
 namespace {

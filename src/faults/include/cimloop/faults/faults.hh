@@ -26,6 +26,7 @@
 #ifndef CIMLOOP_FAULTS_FAULTS_HH
 #define CIMLOOP_FAULTS_FAULTS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -122,6 +123,30 @@ std::uint64_t layerFaultSeed(const FaultModel& model,
  */
 void perturbConductances(const FaultModel& model, std::uint64_t fault_seed,
                          std::vector<double>& g_norm);
+
+/** Per-mechanism cell counts of one or more perturbations. */
+struct CellFaultTally
+{
+    std::uint64_t total = 0;
+    std::uint64_t stuckOff = 0;
+    std::uint64_t stuckOn = 0;
+    std::uint64_t varied = 0;
+};
+
+/**
+ * Range form: perturbs g[0..n) as the cells first .. first + n - 1 of a
+ * flat conductance array, each exactly as the whole-array form perturbs
+ * that cell, and adds what it did to @p tally. Touches no counter, so a
+ * caller that perturbs the same cells more than once (refsim rebuilds
+ * each row tile per vector block) reports them once through
+ * countCellFaults(). No-op when no cell-level mechanism is active.
+ */
+void perturbConductances(const FaultModel& model, std::uint64_t fault_seed,
+                         std::uint64_t first, double* g, std::size_t n,
+                         CellFaultTally& tally);
+
+/** Adds @p tally to the faults.cells.* counters. */
+void countCellFaults(const CellFaultTally& tally);
 
 /**
  * Analytic counterpart of perturbConductances for the statistical

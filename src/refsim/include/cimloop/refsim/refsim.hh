@@ -83,8 +83,8 @@ struct RefSimConfig
 
     /**
      * Device fault / variation injection (default: none). The value-level
-     * simulator perturbs its precomputed conductance array per cell with
-     * counter-derived Rng::forStream(fault_seed, cell_index) streams and
+     * simulator perturbs each conductance as its row tile is built, with
+     * counter-derived Rng::forStream(fault_seed, cell_index) streams, and
      * its ADC readouts per convert, so injection is bit-identical at any
      * thread count; estimateStatistical() applies the same model
      * analytically (stuck-at mixture atoms, variance-inflated conductance

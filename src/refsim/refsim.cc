@@ -230,6 +230,14 @@ struct ActionCounts
 namespace {
 
 /**
+ * Sampled vectors walked over each row tile per pass. A block's slice
+ * buffers bound the walk's memory whatever maxVectors is, and each tile
+ * build is shared by up to this many vectors. Not a tuning knob: the
+ * output does not depend on it.
+ */
+constexpr std::int64_t kBlockVectors = 32;
+
+/**
  * One sampled activation vector's contribution. Energies are summed
  * per-vector and reduced in ascending vector order afterwards, and the
  * input histogram is kept as integer counts (whose merge is exact), so
@@ -246,21 +254,192 @@ struct VectorPartial
     std::vector<Pmf::Point> outPts;     //!< recorded output samples
 };
 
-/** Simulates vector @p v of the layer into @p part. The per-vector RNG
- *  stream makes the draw independent of which thread runs it. */
+/**
+ * A sampled vector in flight across the row tiles of its block: its RNG
+ * stream (the ADC noise draws continue it after the input draws), its
+ * slice levels and per-tile scratch. Reused by the next block.
+ */
+struct VectorWalk
+{
+    Rng rng;
+    std::vector<double> x;      //!< input values
+    std::vector<double> xn;     //!< slice levels, slice-major
+    std::vector<double> xn2;    //!< their squares (dacBits > 1 only)
+    std::vector<double> sumX2;  //!< per-slice x^2 sums over this tile
+    std::vector<double> dotS;   //!< per-slice sum x*g (ADC input)
+    std::vector<double> dotE;   //!< per-slice sum x^2*g (cells)
+};
+
+/** A row tile: array rows [c0, c1) of every conductance row. */
+struct Tile
+{
+    std::int64_t c0, c1;
+
+    std::int64_t len() const { return c1 - c0; }
+};
+
+/**
+ * The value-level walk of one layer. Vectors run in blocks; for each row
+ * tile the block shares one conductance buffer,
+ * tile[(k * wb + w) * len + (c - c0)], and every vector walks it
+ * in (k, wb, ib) order. Per vector, that is the same sequence of sums
+ * and RNG draws as walking the whole layer vector by vector, so the
+ * result does not depend on the tiling, the block size or the threads.
+ */
+struct LayerWalk
+{
+    const RefSimConfig& config;
+    const Physics& phys;
+    const LayerShape& shape;
+    const GenParams& gen;
+    const std::vector<double>& weights;
+    std::uint64_t layerSeed;
+    std::uint64_t faultSeed;
+    bool record;
+    /** 1-bit DAC slices drive exact 0.0 / 1.0 levels, so x^2 == x
+     *  element for element and the energy dot product equals the signal
+     *  dot product (same doubles, same order): skip the second dot. */
+    bool unitLevels;
+    std::vector<double> levels;    //!< [code * wb + w]: sliceNorm
+    std::vector<double> bitWeight; //!< Macro-C cycle weights
+
+    LayerWalk(const RefSimConfig& c, const Physics& p, const LayerShape& s,
+              const GenParams& g, const std::vector<double>& w,
+              std::uint64_t layer_seed, std::uint64_t fault_seed, bool rec)
+        : config(c), phys(p), shape(s), gen(g), weights(w),
+          layerSeed(layer_seed), faultSeed(fault_seed), record(rec),
+          unitLevels(c.dacBits == 1)
+    {
+        const std::int64_t codes = std::int64_t{1} << c.weightBits;
+        levels.resize(codes * s.wb);
+        for (std::int64_t code = 0; code < codes; ++code) {
+            for (std::int64_t wb = 0; wb < s.wb; ++wb) {
+                levels[code * s.wb + wb] = sliceNorm(
+                    code, static_cast<int>(wb), c.cellBits, c.weightBits);
+            }
+        }
+        bitWeight.resize(s.ib);
+        for (std::int64_t ib = 0; ib < s.ib; ++ib)
+            bitWeight[ib] = std::pow(2.0, -(s.ib - 1 - ib));
+    }
+
+    /** Draws vector @p v's inputs from its own stream into @p w, records
+     *  its histogram and output samples into @p part. The per-vector
+     *  stream makes the draw independent of which thread runs it. */
+    void prepare(std::int64_t v, VectorWalk& w, VectorPartial& part) const;
+
+    /** Fills the wb conductance rows of output @p k over @p tile's rows
+     *  into @p g and injects their cell faults (counted into @p tally). */
+    void build(const Tile& tile, std::int64_t k, double* g,
+               faults::CellFaultTally& tally) const;
+
+    /** Walks @p w over the conductance rows of @p tile. */
+    void walk(const Tile& tile, const double* g, VectorWalk& w,
+              VectorPartial& part) const;
+};
+
 void
-simulateVector(const RefSimConfig& config, const Physics& phys,
-               const LayerShape& shape, const GenParams& gen,
-               const std::vector<double>& weights,
-               const std::vector<double>& g_norm,
-               const std::vector<double>& bit_weight,
-               std::uint64_t layer_seed, std::int64_t v, bool record,
-               VectorPartial& part)
+LayerWalk::prepare(std::int64_t v, VectorWalk& w, VectorPartial& part) const
 {
     const std::int64_t in_half = std::int64_t{1} << (config.inputBits - 1);
     const std::int64_t wt_half = std::int64_t{1} << (config.weightBits - 1);
-    Rng rng = Rng::forStream(layer_seed, static_cast<std::uint64_t>(v));
+    w.rng = Rng::forStream(layerSeed, static_cast<std::uint64_t>(v));
+    w.x.resize(shape.c_total);
+    w.xn.resize(shape.ib * shape.c_total);
+    w.xn2.resize(unitLevels ? 0 : shape.ib * shape.c_total);
+    w.sumX2.resize(shape.ib);
+    w.dotS.resize(shape.ib);
+    w.dotE.resize(shape.ib);
 
+    // Correlated activations: a shared per-vector contrast factor.
+    double contrast = std::exp(config.contrastStd * w.rng.gaussian());
+    for (std::int64_t c = 0; c < shape.c_total; ++c) {
+        double val;
+        if (gen.signedInputs) {
+            val = contrast * gen.inSigma *
+                  static_cast<double>(in_half) * w.rng.gaussian();
+        } else {
+            if (w.rng.uniform() < gen.zeroProb) {
+                val = 0.0;
+            } else {
+                val = std::abs(contrast * gen.inSigma *
+                               static_cast<double>(in_half) *
+                               w.rng.gaussian());
+            }
+        }
+        val = std::max(std::min(val, static_cast<double>(in_half - 1)),
+                       gen.signedInputs
+                           ? static_cast<double>(-in_half)
+                           : 0.0);
+        w.x[c] = std::round(val);
+    }
+    if (record) {
+        part.inCounts.assign(
+            static_cast<std::size_t>(std::int64_t{1} << config.inputBits),
+            0);
+        for (std::int64_t c = 0; c < shape.c_total; ++c)
+            ++part.inCounts[static_cast<std::size_t>(
+                static_cast<std::int64_t>(w.x[c]) + in_half)];
+    }
+
+    // Slice levels for every input-bit slice of this vector.
+    for (std::int64_t c = 0; c < shape.c_total; ++c) {
+        std::int64_t code = offsetCode(w.x[c], config.inputBits);
+        for (std::int64_t ib = 0; ib < shape.ib; ++ib) {
+            double level = sliceNorm(code, static_cast<int>(ib),
+                                     config.dacBits, config.inputBits);
+            w.xn[ib * shape.c_total + c] = level;
+            if (!unitLevels)
+                w.xn2[ib * shape.c_total + c] = level * level;
+        }
+    }
+
+    // Output values for the recorded profile.
+    if (record && v < 8) {
+        for (std::int64_t k = 0;
+             k < std::min<std::int64_t>(shape.k_total, 64); ++k) {
+            double dot = 0.0;
+            for (std::int64_t c = 0; c < shape.c_total; ++c)
+                dot += w.x[c] * weights[k * shape.c_total + c];
+            double norm = dot / (static_cast<double>(shape.c_total) *
+                                 static_cast<double>(wt_half));
+            part.outPts.push_back(
+                {std::round(std::max(
+                     std::min(norm * static_cast<double>(in_half),
+                              static_cast<double>(in_half - 1)),
+                     static_cast<double>(-in_half))),
+                 1.0});
+        }
+    }
+}
+
+void
+LayerWalk::build(const Tile& tile, std::int64_t k, double* g,
+                 faults::CellFaultTally& tally) const
+{
+    const std::int64_t len = tile.len();
+    for (std::int64_t c = tile.c0; c < tile.c1; ++c) {
+        std::int64_t code = offsetCode(weights[k * shape.c_total + c],
+                                       config.weightBits);
+        for (std::int64_t wb = 0; wb < shape.wb; ++wb)
+            g[wb * len + (c - tile.c0)] = levels[code * shape.wb + wb];
+    }
+    // Each cell draws from its own counter-derived stream keyed by its
+    // flat index (k * wb + w) * c_total + c in the layer's conductance
+    // array, so the pattern never depends on the tiling or threads.
+    for (std::int64_t wb = 0; wb < shape.wb; ++wb) {
+        const std::int64_t first = (k * shape.wb + wb) * shape.c_total;
+        faults::perturbConductances(
+            config.faults, faultSeed,
+            static_cast<std::uint64_t>(first + tile.c0), g + wb * len,
+            static_cast<std::size_t>(len), tally);
+    }
+}
+
+void
+LayerWalk::walk(const Tile& tile, const double* g, VectorWalk& w,
+                VectorPartial& part) const
+{
     // ADC non-idealities: every convert of this vector reads out shifted
     // by the offset plus a fresh noise draw from the per-vector stream
     // (serial within the vector, so still bit-identical at any thread
@@ -272,155 +451,87 @@ simulateVector(const RefSimConfig& config, const Physics& phys,
     auto adcReadout = [&](double sum_norm) {
         if (adc_faulty) {
             if (adc_noise > 0.0)
-                sum_norm += adc_noise * rng.gaussian();
+                sum_norm += adc_noise * w.rng.gaussian();
             sum_norm += adc_offset;
         }
         return sum_norm;
     };
 
-    // Per-worker scratch: reused across every vector a thread simulates.
-    thread_local std::vector<double> x;
-    thread_local std::vector<double> xn;
-    thread_local std::vector<double> xn2;
-    thread_local std::vector<double> sum_x2;
-    x.resize(shape.c_total);
-    xn.resize(shape.ib * shape.c_total);
-    xn2.resize(shape.ib * shape.c_total);
-    sum_x2.resize(shape.ib);
-
-    // Correlated activations: a shared per-vector contrast factor.
-    double contrast = std::exp(config.contrastStd * rng.gaussian());
-    for (std::int64_t c = 0; c < shape.c_total; ++c) {
-        double val;
-        if (gen.signedInputs) {
-            val = contrast * gen.inSigma *
-                  static_cast<double>(in_half) * rng.gaussian();
-        } else {
-            if (rng.uniform() < gen.zeroProb) {
-                val = 0.0;
-            } else {
-                val = std::abs(contrast * gen.inSigma *
-                               static_cast<double>(in_half) *
-                               rng.gaussian());
-            }
-        }
-        val = std::max(std::min(val, static_cast<double>(in_half - 1)),
-                       gen.signedInputs
-                           ? static_cast<double>(-in_half)
-                           : 0.0);
-        x[c] = std::round(val);
+    const std::int64_t c0 = tile.c0;
+    const auto len = static_cast<std::size_t>(tile.len());
+    const auto rows_used = static_cast<double>(tile.len());
+    const auto stride = static_cast<std::size_t>(shape.c_total);
+    const auto slices = static_cast<std::size_t>(shape.ib);
+    const std::vector<double>& xn2 = unitLevels ? w.xn : w.xn2;
+    // DAC converts: one per row per input-bit cycle, re-driven for
+    // every k-tile — the per-tile sum is identical each time, so
+    // compute it once and charge it tiles_k times.
+    double dac_tile = 0.0;
+    for (std::int64_t ib = 0; ib < shape.ib; ++ib) {
+        const double* xs = &w.xn[ib * shape.c_total];
+        for (std::int64_t c = c0; c < tile.c1; ++c)
+            dac_tile += phys.dacPj(xs[c]);
     }
-    if (record) {
-        part.inCounts.assign(
-            static_cast<std::size_t>(std::int64_t{1} << config.inputBits),
-            0);
-        for (std::int64_t c = 0; c < shape.c_total; ++c)
-            ++part.inCounts[static_cast<std::size_t>(
-                static_cast<std::int64_t>(x[c]) + in_half)];
-    }
+    part.dacPj += static_cast<double>(shape.tiles_k) * dac_tile;
 
-    // Slice levels for every input-bit slice of this vector.
-    for (std::int64_t c = 0; c < shape.c_total; ++c) {
-        std::int64_t code = offsetCode(x[c], config.inputBits);
-        for (std::int64_t ib = 0; ib < shape.ib; ++ib) {
-            double level = sliceNorm(code, static_cast<int>(ib),
-                                     config.dacBits, config.inputBits);
-            xn[ib * shape.c_total + c] = level;
-            xn2[ib * shape.c_total + c] = level * level;
-        }
-    }
+    // Per-slice x^2 row sums over this tile: independent of (k, wb), so
+    // hoist them out of the column loops.
+    for (std::int64_t ib = 0; ib < shape.ib; ++ib)
+        w.sumX2[ib] = dist::sum(&xn2[ib * shape.c_total] + c0, len);
 
-    // 1-bit DAC slices drive exact 0.0 / 1.0 levels, so xn2 == xn
-    // element-for-element and the energy dot product equals the signal
-    // dot product (same doubles, same order): skip the second dot.
-    const bool unit_levels = config.dacBits == 1;
+    // The running sums live in locals for the tile (the same additions in
+    // the same order), so the dot kernels' stores cannot force them out
+    // to memory and workers never write a shared cache line per row.
+    double cell_pj = part.cellPj;
+    double adc_pj = part.adcPj;
+    double digital_pj = part.digitalPj;
+    std::int64_t values = part.values;
     const double v2 = Physics::kVRead * Physics::kVRead;
-    for (std::int64_t ct = 0; ct < shape.tiles_c; ++ct) {
-        std::int64_t c0 = ct * config.rows;
-        std::int64_t c1 = std::min(c0 + config.rows, shape.c_total);
-        auto rows_used = static_cast<double>(c1 - c0);
-
-        // DAC converts: one per row per input-bit cycle, re-driven for
-        // every k-tile — the per-tile sum is identical each time, so
-        // compute it once and charge it tiles_k times.
-        double dac_tile = 0.0;
-        for (std::int64_t ib = 0; ib < shape.ib; ++ib) {
-            const double* xs = &xn[ib * shape.c_total];
-            for (std::int64_t c = c0; c < c1; ++c)
-                dac_tile += phys.dacPj(xs[c]);
-        }
-        part.dacPj += static_cast<double>(shape.tiles_k) * dac_tile;
-
-        // Per-slice x^2 row sums over this tile: independent of (k, wb),
-        // so hoist them out of the column loops.
-        const auto tile_len = static_cast<std::size_t>(c1 - c0);
-        for (std::int64_t ib = 0; ib < shape.ib; ++ib)
-            sum_x2[ib] = dist::sum(&xn2[ib * shape.c_total] + c0, tile_len);
-
-        for (std::int64_t k = 0; k < shape.k_total; ++k) {
-            for (std::int64_t wb = 0; wb < shape.wb; ++wb) {
-                // Slice-major conductance row: contiguous in c, so the
-                // dot products stream it under the fixed association
-                // from reduce.hh — the same bytes at any thread count.
-                const double* g =
-                    &g_norm[(k * shape.wb + wb) * shape.c_total];
-                double acc_s = 0.0; // accumulated across cycles
-                for (std::int64_t ib = 0; ib < shape.ib; ++ib) {
-                    const double* xs = &xn[ib * shape.c_total];
-                    const double* xs2 = &xn2[ib * shape.c_total];
-                    double dot_s = 0.0; // sum x*g (ADC input)
-                    double dot_e = 0.0; // sum x^2*g (cells)
-                    if (unit_levels) {
-                        dot_s = dist::dot(xs + c0, g + c0, tile_len);
-                        dot_e = dot_s;
-                    } else {
-                        dist::dotPair(xs + c0, xs2 + c0, g + c0, tile_len,
-                                      dot_s, dot_e);
-                    }
-                    // Cell energy, exact over the tile.
-                    part.cellPj +=
-                        (Physics::kGOffUs * sum_x2[ib] +
-                         (Physics::kGOnUs - Physics::kGOffUs) * dot_e) *
-                        v2 * Physics::kTReadNs / 1000.0;
-                    part.values += static_cast<std::int64_t>(rows_used);
-                    if (config.accumulateAcrossInputBits) {
-                        // Integrate on the analog accumulator
-                        // (binary-weighted across cycles).
-                        acc_s += dot_s * bit_weight[ib];
-                    } else {
-                        part.adcPj += phys.adcPj(
-                            adcReadout(dot_s / rows_used));
-                        part.digitalPj += phys.shiftAddPj();
-                        ++part.values;
-                    }
-                }
+    for (std::int64_t k = 0; k < shape.k_total; ++k) {
+        for (std::int64_t wb = 0; wb < shape.wb; ++wb) {
+            // One conductance row against every input slice of this
+            // vector, each dot under the fixed association from
+            // reduce.hh — the same bytes at any thread count.
+            const double* gr = g + (k * shape.wb + wb) * tile.len();
+            if (unitLevels) {
+                dist::dotRows(&w.xn[c0], stride, slices, gr, len,
+                              w.dotS.data());
+            } else {
+                dist::dotPairRows(&w.xn[c0], &xn2[c0], stride, slices, gr,
+                                  len, w.dotS.data(), w.dotE.data());
+            }
+            const std::vector<double>& dot_e = unitLevels ? w.dotS : w.dotE;
+            double acc_s = 0.0; // accumulated across cycles
+            for (std::int64_t ib = 0; ib < shape.ib; ++ib) {
+                const double dot_s = w.dotS[ib]; // sum x*g (ADC input)
+                // Cell energy, exact over the tile.
+                cell_pj +=
+                    (Physics::kGOffUs * w.sumX2[ib] +
+                     (Physics::kGOnUs - Physics::kGOffUs) * dot_e[ib]) *
+                    v2 * Physics::kTReadNs / 1000.0;
+                values += tile.len();
                 if (config.accumulateAcrossInputBits) {
-                    double norm = acc_s / (2.0 * rows_used);
-                    part.adcPj += phys.adcPj(adcReadout(norm));
-                    part.digitalPj += phys.shiftAddPj();
-                    ++part.values;
+                    // Integrate on the analog accumulator
+                    // (binary-weighted across cycles).
+                    acc_s += dot_s * bitWeight[ib];
+                } else {
+                    adc_pj += phys.adcPj(adcReadout(dot_s / rows_used));
+                    digital_pj += phys.shiftAddPj();
+                    ++values;
                 }
+            }
+            if (config.accumulateAcrossInputBits) {
+                double norm = acc_s / (2.0 * rows_used);
+                adc_pj += phys.adcPj(adcReadout(norm));
+                digital_pj += phys.shiftAddPj();
+                ++values;
             }
         }
     }
-
-    // Output values for the recorded profile.
-    if (record && v < 8) {
-        for (std::int64_t k = 0;
-             k < std::min<std::int64_t>(shape.k_total, 64); ++k) {
-            double dot = 0.0;
-            for (std::int64_t c = 0; c < shape.c_total; ++c)
-                dot += x[c] * weights[k * shape.c_total + c];
-            double norm = dot / (static_cast<double>(shape.c_total) *
-                                 static_cast<double>(wt_half));
-            part.outPts.push_back(
-                {std::round(std::max(
-                     std::min(norm * static_cast<double>(in_half),
-                              static_cast<double>(in_half - 1)),
-                     static_cast<double>(-in_half))),
-                 1.0});
-        }
-    }
+    part.cellPj = cell_pj;
+    part.adcPj = adc_pj;
+    part.digitalPj = digital_pj;
+    part.values = values;
 }
 
 } // namespace
@@ -478,62 +589,68 @@ simulateValueLevel(const RefSimConfig& config, const Layer& layer,
         }
     }
 
-    // Precompute per-(k, wb, c) cell conductance levels, slice-major so
-    // the kernel's c loop runs over contiguous memory.
-    std::vector<double> g_norm(weights.size() * shape.wb);
-    for (std::int64_t k = 0; k < shape.k_total; ++k) {
-        for (std::int64_t c = 0; c < shape.c_total; ++c) {
-            std::int64_t code = offsetCode(weights[k * shape.c_total + c],
-                                           config.weightBits);
-            for (std::int64_t wb = 0; wb < shape.wb; ++wb) {
-                g_norm[(k * shape.wb + wb) * shape.c_total + c] =
-                    sliceNorm(code, static_cast<int>(wb), config.cellBits,
-                              config.weightBits);
-            }
-        }
-    }
-
-    // Inject device faults into the conductance array: each cell draws
-    // from its own counter-derived stream, so the pattern depends only on
-    // (fault model, layer identity, flat cell index) — never on thread
-    // scheduling. The recorded operand profile keeps the IDEAL weights:
-    // the statistical model receives clean marginals and applies the same
-    // fault model analytically, which is exactly the truth-vs-model
-    // comparison the fault tests assert.
-    if (config.faults.cellFaultsEnabled()) {
-        faults::perturbConductances(
-            config.faults,
-            faults::layerFaultSeed(config.faults, layer.name, layer.index),
-            g_norm);
-    }
-
-    // Binary cycle weights for the Macro-C analog accumulator.
-    std::vector<double> bit_weight(shape.ib);
-    for (std::int64_t ib = 0; ib < shape.ib; ++ib)
-        bit_weight[ib] = std::pow(2.0, -(shape.ib - 1 - ib));
-
     std::int64_t sim_vectors = shape.vectors;
     if (config.maxVectors > 0)
         sim_vectors = std::min(sim_vectors, config.maxVectors);
     double scale = static_cast<double>(shape.vectors) /
                    static_cast<double>(sim_vectors);
 
-    // Fan the sampled vectors over workers; each vector draws from its
-    // own counter-derived stream (Rng::forStream(layer_seed, v)), so the
-    // sampled values do not depend on thread scheduling.
+    // Device faults perturb the conductances per cell as each tile is
+    // built: the pattern depends only on (fault model, layer identity,
+    // flat cell index). The recorded operand profile keeps the IDEAL
+    // weights: the statistical model receives clean marginals and applies
+    // the same fault model analytically, which is exactly the
+    // truth-vs-model comparison the fault tests assert.
     const bool record = out_profile != nullptr;
-    std::vector<VectorPartial> partials(sim_vectors);
-    // Workers poll the token between vectors; a fired token throws
+    const LayerWalk lw(
+        config, phys, shape, gen, weights, layer_seed,
+        faults::layerFaultSeed(config.faults, layer.name, layer.index),
+        record);
+
+    // One reused row tile: `rows` array rows of every conductance row.
+    std::vector<double> tile_g(shape.k_total * shape.wb *
+                               std::min(config.rows, shape.c_total));
+
+    // Blocks of sampled vectors; each vector draws from its own
+    // counter-derived stream (Rng::forStream(layer_seed, v)), so the
+    // sampled values do not depend on thread scheduling. Workers poll the
+    // token between vectors and tile rows; a fired token throws
     // CancelledError out of the parallelFor join, abandoning the layer
     // whole — no partial reduction ever escapes.
-    parallelFor(config.threads, static_cast<std::size_t>(sim_vectors),
-                [&](std::size_t v) {
-                    simulateVector(config, phys, shape, gen, weights,
-                                   g_norm, bit_weight, layer_seed,
-                                   static_cast<std::int64_t>(v), record,
-                                   partials[v]);
+    std::vector<VectorPartial> partials(sim_vectors);
+    std::vector<VectorWalk> block(
+        std::min<std::int64_t>(sim_vectors, kBlockVectors));
+    for (std::int64_t b0 = 0; b0 < sim_vectors; b0 += kBlockVectors) {
+        const auto nb = static_cast<std::size_t>(
+            std::min<std::int64_t>(kBlockVectors, sim_vectors - b0));
+        parallelFor(config.threads, nb,
+                    [&](std::size_t i) {
+                        const auto v = b0 + static_cast<std::int64_t>(i);
+                        lw.prepare(v, block[i], partials[v]);
+                    },
+                    &config.cancel);
+        for (std::int64_t c0 = 0; c0 < shape.c_total; c0 += config.rows) {
+            const Tile tile{c0, std::min(c0 + config.rows, shape.c_total)};
+            // Rows build in parallel; the fault counters count each cell
+            // once, in the first block.
+            parallelFor(
+                config.threads, static_cast<std::size_t>(shape.k_total),
+                [&](std::size_t k) {
+                    faults::CellFaultTally tally;
+                    lw.build(tile, static_cast<std::int64_t>(k),
+                             &tile_g[k * shape.wb * tile.len()], tally);
+                    if (b0 == 0 && config.faults.cellFaultsEnabled())
+                        faults::countCellFaults(tally);
                 },
                 &config.cancel);
+            parallelFor(config.threads, nb,
+                        [&](std::size_t i) {
+                            lw.walk(tile, tile_g.data(), block[i],
+                                    partials[b0 + i]);
+                        },
+                        &config.cancel);
+        }
+    }
 
     // Deterministic ordered reduction: ascending vector order, so energy
     // sums (and histogram concatenation) are bit-identical for any

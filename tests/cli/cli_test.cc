@@ -123,6 +123,35 @@ TEST(Parse, IntegerFlagsAreRangeChecked)
     EXPECT_EQ(o.weightBits, 1);
 }
 
+TEST(Parse, SeedIsUnsigned)
+{
+    // A negative seed is a range error, not a wrap to 2^64 - 1.
+    EXPECT_EQ(parseError({"--macro", "base", "--network", "mvm", "--seed",
+                          "-1"}),
+              "fatal: flag --seed must be within "
+              "[0, 18446744073709551615], got -1");
+    EXPECT_EQ(parseError({"--macro", "base", "--network", "mvm", "--seed",
+                          "18446744073709551616"}),
+              "fatal: flag --seed must be within "
+              "[0, 18446744073709551615], got 18446744073709551616");
+    EXPECT_EQ(parseError({"--macro", "base", "--network", "mvm", "--seed",
+                          "7x"}),
+              "fatal: flag --seed expects an integer, got '7x'");
+
+    // The whole unsigned range is reachable, spelled as itself.
+    CliOptions o = parse({"--macro", "base", "--network", "mvm", "--seed",
+                          "18446744073709551615"});
+    EXPECT_EQ(o.seed, 18446744073709551615ull);
+    EXPECT_TRUE(o.seedGiven);
+    EXPECT_EQ(parse({"--macro", "base", "--network", "mvm", "--seed",
+                     "9223372036854775808"})
+                  .seed,
+              9223372036854775808ull);
+    EXPECT_EQ(parse({"--macro", "base", "--network", "mvm", "--seed", "0"})
+                  .seed,
+              0u);
+}
+
 TEST(Run, HelpExitsZero)
 {
     std::ostringstream out, err;

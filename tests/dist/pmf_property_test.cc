@@ -396,5 +396,56 @@ TEST(DistReduce, PinsFourAccumulatorAssociation)
     }
 }
 
+/** reduce.hh's formula for one row: four striped lanes, (a0+a1)+(a2+a3),
+ *  then the tail serially. */
+double
+fourAccumulatorDot(const double* x, const double* g, std::size_t n)
+{
+    const std::size_t blocked = n - n % 4;
+    double a[4] = {0.0, 0.0, 0.0, 0.0};
+    for (std::size_t j = 0; j < blocked; ++j)
+        a[j % 4] += x[j] * g[j];
+    double r = (a[0] + a[1]) + (a[2] + a[3]);
+    for (std::size_t j = blocked; j < n; ++j)
+        r += x[j] * g[j];
+    return r;
+}
+
+TEST(DistReduce, MultiRowKeepsTheAssociation)
+{
+    // dotRows / dotPairRows: every row of every register-block width
+    // (m = 1..17 covers the 4-row and 2-row passes and each remainder),
+    // rows laid out at a stride longer than n, every tail residue.
+    Rng rng = Rng::forStream(kSuiteSeed + 20, 0);
+    for (std::size_t n = 0; n <= 67; ++n) {
+        const std::size_t stride = n + 3;
+        for (std::size_t m = 1; m <= 17; ++m) {
+            std::vector<double> x(m * stride), x2(m * stride), g(n);
+            for (std::size_t i = 0; i < x.size(); ++i) {
+                x[i] = rng.gaussian();
+                x2[i] = x[i] * x[i];
+            }
+            for (double& v : g)
+                v = rng.uniform();
+            std::vector<double> out(m, -1.0), s(m, -1.0), e(m, -1.0);
+            dotRows(x.data(), stride, m, g.data(), n, out.data());
+            dotPairRows(x.data(), x2.data(), stride, m, g.data(), n,
+                        s.data(), e.data());
+            for (std::size_t r = 0; r < m; ++r) {
+                const double want_s =
+                    fourAccumulatorDot(&x[r * stride], g.data(), n);
+                const double want_e =
+                    fourAccumulatorDot(&x2[r * stride], g.data(), n);
+                EXPECT_EQ(out[r], want_s) << "n=" << n << " m=" << m
+                                          << " row " << r;
+                EXPECT_EQ(s[r], want_s) << "n=" << n << " m=" << m
+                                        << " row " << r;
+                EXPECT_EQ(e[r], want_e) << "n=" << n << " m=" << m
+                                        << " row " << r;
+            }
+        }
+    }
+}
+
 } // namespace
 } // namespace cimloop::dist

@@ -417,6 +417,26 @@ TEST(ServeExec, OutOfRangeMappingsIsAStructuredError)
     EXPECT_TRUE(okField(parseResponse(h.call("{\"kind\":\"ping\"}"))));
 }
 
+TEST(ServeExec, NegativeSeedIsAStructuredError)
+{
+    // "seed" maps onto --seed: -1 is the CLI's range error, not a run at
+    // seed 2^64 - 1.
+    Harness h;
+    JsonValue doc = parseResponse(
+        h.call("{\"id\":1,\"kind\":\"evaluate\",\"macro\":\"base\","
+               "\"network\":\"mvm\",\"mappings\":2,\"seed\":-1}"));
+    EXPECT_FALSE(okField(doc));
+    const JsonValue* err = doc.get("error");
+    ASSERT_TRUE(err && err->isObject());
+    const JsonValue* message = err->get("message");
+    ASSERT_TRUE(message && message->isString());
+    EXPECT_NE(message->text.find("flag --seed must be within "
+                                 "[0, 18446744073709551615], got -1"),
+              std::string::npos)
+        << message->text;
+    EXPECT_TRUE(okField(parseResponse(h.call("{\"kind\":\"ping\"}"))));
+}
+
 // ---------------------------------------------------------------------
 // Randomized robustness: no line may kill the handler or produce a
 // malformed response. 200 adversarial lines from a seeded generator.
