@@ -366,6 +366,40 @@ BM_RefsimTileWalk(benchmark::State& state)
 }
 BENCHMARK(BM_RefsimTileWalk);
 
+void
+BM_RefsimBitWalk(benchmark::State& state)
+{
+    // BM_RefsimTileWalk's walk on the bit-plane path (1-bit slices on
+    // 1-bit cells): the 8 input-bit slices and every conductance row of
+    // the 128-row tile packed 64 rows per word, one andCountRows pass
+    // per row. Same items, so the two rates compare directly.
+    constexpr std::size_t kTileRows = 128;
+    constexpr std::size_t kWords = kTileRows / 64;
+    constexpr std::size_t kSlices = 8;
+    constexpr std::size_t kCondRows = 512; // k * wb rows in the tile
+    std::vector<std::uint64_t> xs(kSlices * kWords), planes(kCondRows *
+                                                              kWords);
+    Rng rng(7);
+    for (std::uint64_t& v : xs)
+        v = rng.next();
+    for (std::uint64_t& v : planes)
+        v = rng.next();
+    std::vector<std::uint32_t> counts(kSlices);
+    for (auto _ : state) {
+        std::uint64_t total = 0;
+        for (std::size_t r = 0; r < kCondRows; ++r) {
+            dist::andCountRows(xs.data(), kWords, kSlices,
+                               &planes[r * kWords], kWords, counts.data());
+            total += counts[0] + counts[kSlices - 1];
+        }
+        benchmark::DoNotOptimize(total);
+    }
+    state.SetItemsProcessed(
+        state.iterations() *
+        static_cast<std::int64_t>(kSlices * kCondRows * kTileRows));
+}
+BENCHMARK(BM_RefsimBitWalk);
+
 refsim::RefSimConfig
 refsimBenchConfig()
 {

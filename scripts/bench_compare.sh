@@ -5,6 +5,11 @@
 # from the current run. This is what makes the perf trajectory ENFORCED
 # rather than just recorded.
 #
+# A kernel's time is its "median" aggregate when the snapshot has one
+# (runs recorded with repetitions, as bench_snapshot.sh and the current
+# run here make them), else its single iteration entry (older
+# snapshots).
+#
 # Usage: bench_compare.sh [-b baseline.json] [-c current.json] [-o report]
 #   -b  baseline snapshot (default: newest git-tracked BENCH_*.json)
 #   -c  current snapshot (default: run ${BUILD_DIR}/bench/microbench now)
@@ -67,7 +72,9 @@ if [ -z "${CURRENT}" ]; then
     CLEANUP="${CURRENT}"
     trap '[ -n "${CLEANUP}" ] && rm -f "${CLEANUP}"' EXIT
     "${BUILD_DIR}/bench/microbench" --json \
-        "--benchmark_filter=${FILTER}" > "${CURRENT}"
+        "--benchmark_filter=${FILTER}" \
+        "--benchmark_repetitions=${BENCH_REPETITIONS}" \
+            --benchmark_report_aggregates_only=true > "${CURRENT}"
 fi
 
 mkdir -p "$(dirname "${REPORT}")"
@@ -85,17 +92,22 @@ report_path = os.environ["BENCH_REPORT_PATH"]
 UNIT_NS = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 def load(path):
+    """Per kernel: its median aggregate if recorded, else its single
+    iteration entry. Other aggregates and errored runs are ignored."""
     with open(path) as f:
         doc = json.load(f)
-    out = {}
+    single, median = {}, {}
     for b in doc.get("benchmarks", []):
-        if b.get("run_type", "iteration") != "iteration":
-            continue
         if b.get("error_occurred"):
             continue
-        out[b["name"]] = float(b["real_time"]) * UNIT_NS.get(
-            b.get("time_unit", "ns"), 1.0)
-    return doc.get("context", {}), out
+        ns = float(b["real_time"]) * UNIT_NS.get(b.get("time_unit", "ns"),
+                                                 1.0)
+        run_type = b.get("run_type", "iteration")
+        if run_type == "iteration":
+            single[b["name"]] = ns
+        elif run_type == "aggregate" and b.get("aggregate_name") == "median":
+            median[b.get("run_name", b["name"])] = ns
+    return doc.get("context", {}), {**single, **median}
 
 base_ctx, base = load(base_path)
 cur_ctx, cur = load(cur_path)

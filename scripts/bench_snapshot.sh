@@ -42,8 +42,13 @@ if [ "${BUILD_TYPE}" != "Release" ]; then
     fi
 fi
 
+# Each benchmark runs BENCH_REPETITIONS times and only the aggregates
+# (mean, median, stddev, cv) are recorded; bench_compare.sh gates on the
+# median.
 "${BUILD_DIR}/bench/microbench" --json \
-    "--benchmark_filter=${FILTER}" > "${OUT}"
+    "--benchmark_filter=${FILTER}" \
+    "--benchmark_repetitions=${BENCH_REPETITIONS}" \
+    --benchmark_report_aggregates_only=true > "${OUT}"
 
 # Stamp the cimloop build type into the snapshot context: the
 # 'library_build_type' google-benchmark records is its OWN build flavor,

@@ -54,6 +54,11 @@ run_case engine_mvm_faults \
     --fault-stuck-rate 0.02 --fault-sigma 0.1
 run_case refsim_mvm \
     --refsim --network mvm --refsim-vectors 4 --seed 1 --threads 2
+# Cell faults keep the value-level walk on its floating-point levels;
+# the fault-free case above runs the 1-bit planes.
+run_case refsim_mvm_faults \
+    --refsim --network mvm --refsim-vectors 4 --seed 1 --threads 2 \
+    --fault-stuck-rate 0.02 --fault-sigma 0.1
 # Layout x mapping co-search: pins the candidate count, the search
 # counters scaled by the layout enumeration, and the bank-conflict
 # cycle total.

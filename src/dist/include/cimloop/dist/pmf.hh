@@ -46,6 +46,16 @@ class Pmf
      */
     static Pmf fromPoints(std::vector<Point> pts);
 
+    /**
+     * Builds from a histogram: @p counts[i] samples of the integer
+     * lo + i. Equal, point for point, to fromPoints of the expanded list
+     * of unit-weight samples, and takes the same lattice / fallback
+     * branch (decided by the total count), without materialising one
+     * point per sample.
+     */
+    static Pmf fromCounts(std::int64_t lo,
+                          const std::vector<std::int64_t>& counts);
+
     /** Empirical PMF of a sample vector. */
     static Pmf fromSamples(const std::vector<double>& samples);
 

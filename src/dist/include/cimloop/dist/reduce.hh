@@ -17,6 +17,7 @@
 #define CIMLOOP_DIST_REDUCE_HH
 
 #include <cstddef>
+#include <cstdint>
 
 namespace cimloop::dist {
 
@@ -45,6 +46,19 @@ void dotRows(const double* x, std::size_t stride, std::size_t m,
 void dotPairRows(const double* x, const double* x2, std::size_t stride,
                  std::size_t m, const double* g, std::size_t n, double* s,
                  double* e);
+
+/**
+ * Multi-row AND-count over packed bits: out[r] is the number of bits set
+ * in both (x + r * stride)[0..n) and g[0..n), for r in [0, m). On levels
+ * that are exactly 0.0 or 1.0 this is dot() of the unpacked rows: every
+ * partial sum is an integer, so it is exact in any association. The
+ * value-level walk runs one vector's 1-bit input slices against a plane
+ * of 1-bit cells with it. The count is an inline SWAR one; without a
+ * -march flag, std::popcount is a library call per word.
+ */
+void andCountRows(const std::uint64_t* x, std::size_t stride,
+                  std::size_t m, const std::uint64_t* g, std::size_t n,
+                  std::uint32_t* out);
 
 } // namespace cimloop::dist
 

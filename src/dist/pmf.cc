@@ -97,6 +97,17 @@ appendLatticePoints(const std::vector<double>& acc, std::int64_t lo,
     }
 }
 
+/** Counts one fromPoints or fromCounts build under the merge it took. */
+void
+countFromPoints(bool lattice)
+{
+    static obs::Counter& c_lattice =
+        obs::counter("dist.pmf.from_points.lattice");
+    static obs::Counter& c_fallback =
+        obs::counter("dist.pmf.from_points.fallback");
+    (lattice ? c_lattice : c_fallback).add();
+}
+
 } // namespace
 
 Pmf
@@ -122,27 +133,51 @@ Pmf::uniformInt(std::int64_t lo, std::int64_t hi)
 Pmf
 Pmf::fromPoints(std::vector<Point> pts)
 {
-    static obs::Counter& lattice =
-        obs::counter("dist.pmf.from_points.lattice");
-    static obs::Counter& fallback =
-        obs::counter("dist.pmf.from_points.fallback");
     Pmf p;
     std::int64_t lo = 0, hi = 0;
-    if (latticeBounds(pts, lo, hi) && denseEnough(lo, hi, pts.size())) {
-        lattice.add();
+    const bool lattice =
+        latticeBounds(pts, lo, hi) && denseEnough(lo, hi, pts.size());
+    countFromPoints(lattice);
+    if (lattice) {
         // Integer-lattice fast path: merge duplicates through a dense
         // probability array (no sort; output is sorted by construction).
         const std::size_t span = static_cast<std::size_t>(hi - lo) + 1;
         std::vector<double> acc(span);
         for (const Point& pt : pts)
             acc[static_cast<std::int64_t>(pt.value) - lo] += pt.prob;
-        p.points_.reserve(pts.size());
+        p.points_.reserve(std::min(pts.size(), span));
         appendLatticePoints(acc, lo, p.points_);
     } else {
-        fallback.add();
         p.points_ = std::move(pts);
         p.sortMerge();
     }
+    p.normalize();
+    return p;
+}
+
+Pmf
+Pmf::fromCounts(std::int64_t lo, const std::vector<std::int64_t>& counts)
+{
+    Pmf p;
+    std::size_t total = 0;
+    std::int64_t min_v = 0, max_v = 0;
+    for (std::size_t i = 0; i < counts.size(); ++i) {
+        if (counts[i] <= 0)
+            continue;
+        const std::int64_t v = lo + static_cast<std::int64_t>(i);
+        if (p.points_.empty())
+            min_v = v;
+        max_v = v;
+        total += static_cast<std::size_t>(counts[i]);
+        // Integer counts below 2^53 are exact, as the unit-weight sums
+        // of either fromPoints branch are.
+        p.points_.push_back(
+            {static_cast<double>(v), static_cast<double>(counts[i])});
+    }
+    // fromPoints' branch test on the expanded list: its span is the
+    // occupied values' and its point count is the total.
+    countFromPoints(!p.points_.empty() && max_v - min_v < kMaxLatticeSpan &&
+                    denseEnough(min_v, max_v, total));
     p.normalize();
     return p;
 }

@@ -1,5 +1,6 @@
 #include "cimloop/dist/reduce.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <utility>
 
@@ -89,6 +90,47 @@ dotPairBlock(std::index_sequence<R...>, const double* x, const double* x2,
 template <std::size_t R>
 constexpr std::make_index_sequence<R> kRows{};
 
+/** Set bits per byte of @p v: eight lanes of at most 8. */
+inline std::uint64_t
+byteCounts(std::uint64_t v)
+{
+    v -= (v >> 1) & 0x5555555555555555ull;
+    v = (v & 0x3333333333333333ull) + ((v >> 2) & 0x3333333333333333ull);
+    return (v + (v >> 4)) & 0x0F0F0F0F0F0F0F0Full;
+}
+
+/** Words whose byteCounts fit one set of byte lanes (31 * 8 <= 255). */
+constexpr std::size_t kByteLaneWords = 31;
+
+/** Sum of the eight byte lanes of @p bytes, widened to 16 bits first. */
+inline std::uint32_t
+sumBytes(std::uint64_t bytes)
+{
+    constexpr std::uint64_t k8 = 0x00FF00FF00FF00FFull;
+    const std::uint64_t halves = (bytes & k8) + ((bytes >> 8) & k8);
+    return static_cast<std::uint32_t>((halves * 0x0001000100010001ull) >>
+                                      48);
+}
+
+/** andCountRows at a word count fixed at compile time: each row is
+ *  straight-line code and one set of byte lanes. */
+template <std::size_t N>
+void
+andCountFixed(const std::uint64_t* x, std::size_t stride, std::size_t m,
+              const std::uint64_t* g, std::uint32_t* out)
+{
+    static_assert(N <= kByteLaneWords);
+    std::uint64_t gw[N];
+    std::copy(g, g + N, gw);
+    for (std::size_t r = 0; r < m; ++r) {
+        const std::uint64_t* xr = x + r * stride;
+        std::uint64_t bytes = 0;
+        for (std::size_t j = 0; j < N; ++j)
+            bytes += byteCounts(xr[j] & gw[j]);
+        out[r] = sumBytes(bytes);
+    }
+}
+
 } // namespace
 
 double
@@ -155,6 +197,32 @@ dotPairRows(const double* x, const double* x2, std::size_t stride,
     if (r < m) {
         dotPairBlock(kRows<1>, x + r * stride, x2 + r * stride, stride,
                      g, n, s + r, e + r);
+    }
+}
+
+void
+andCountRows(const std::uint64_t* x, std::size_t stride, std::size_t m,
+             const std::uint64_t* g, std::size_t n, std::uint32_t* out)
+{
+    // Tiles of up to 256 rows unroll their words; longer rows chunk.
+    switch (n) {
+    case 1: return andCountFixed<1>(x, stride, m, g, out);
+    case 2: return andCountFixed<2>(x, stride, m, g, out);
+    case 3: return andCountFixed<3>(x, stride, m, g, out);
+    case 4: return andCountFixed<4>(x, stride, m, g, out);
+    default: break;
+    }
+    for (std::size_t r = 0; r < m; ++r) {
+        const std::uint64_t* xr = x + r * stride;
+        std::uint32_t total = 0;
+        for (std::size_t j0 = 0; j0 < n; j0 += kByteLaneWords) {
+            const std::size_t j1 = std::min(n, j0 + kByteLaneWords);
+            std::uint64_t bytes = 0;
+            for (std::size_t j = j0; j < j1; ++j)
+                bytes += byteCounts(xr[j] & g[j]);
+            total += sumBytes(bytes);
+        }
+        out[r] = total;
     }
 }
 

@@ -125,6 +125,13 @@ struct RefSimResult
  * receives the *empirical marginal PMFs* of the simulated tensors — what
  * the paper's "RecordOperandPMFs" step produces — for use by
  * estimateStatistical().
+ *
+ * Weights are held as 16-bit offset codes, so inputBits and weightBits
+ * must lie in [1, 16]. With 1-bit DAC slices, 1-bit cells and no cell
+ * faults (the defaults), every level is 0.0 or 1.0: the walk runs on
+ * packed bit planes and each column sum is a popcount. Those sums are
+ * integers, exact in any association, so that walk returns the same
+ * doubles as the floating-point walk the other configurations take.
  */
 RefSimResult simulateValueLevel(const RefSimConfig& config,
                                 const workload::Layer& layer,

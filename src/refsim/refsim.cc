@@ -1,7 +1,9 @@
 #include "cimloop/refsim/refsim.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "cimloop/common/error.hh"
@@ -82,6 +84,16 @@ struct Physics
         double g_us = kGOffUs + (kGOnUs - kGOffUs) * g_norm;
         double v2 = kVRead * kVRead * x_norm * x_norm;
         return g_us * v2 * kTReadNs / 1000.0; // uS * V^2 * ns = fJ
+    }
+
+    /** Cell energy of one input slice over a row tile: its x^2 row sum
+     *  @p sum_x2 and its sum of x^2 * g_norm, @p dot_e (exact). */
+    static double
+    cellTilePj(double sum_x2, double dot_e)
+    {
+        const double v2 = kVRead * kVRead;
+        return (kGOffUs * sum_x2 + (kGOnUs - kGOffUs) * dot_e) * v2 *
+               kTReadNs / 1000.0;
     }
 
     /** One ADC convert of a normalized column sum in [0, 1]. */
@@ -237,6 +249,44 @@ namespace {
  */
 constexpr std::int64_t kBlockVectors = 32;
 
+/** Array rows per packed word of a bit plane. */
+constexpr std::int64_t kPlaneRows = 64;
+
+/**
+ * Packs bit b of codes[0..n) into planes[b * words + r / 64], bit r % 64,
+ * for every plane b in [0, nplanes): plane b holds slice b of 1-bit
+ * cells (or 1-bit DAC levels) of those rows. Branch-free: one multiply
+ * gathers bit b of four 16-bit codes into a nibble.
+ */
+void
+packPlanes(const std::uint16_t* codes, std::size_t n, std::size_t nplanes,
+           std::size_t words, std::uint64_t* planes)
+{
+    static_assert(std::endian::native == std::endian::little,
+                  "packPlanes reads four codes as one word");
+    constexpr std::uint64_t kLaneBit = 0x0001000100010001ull;
+    // Moves bit 16i of a word to bit 60 + i, i = 0..3, without carries.
+    constexpr std::uint64_t kGather =
+        (1ull << 60) | (1ull << 45) | (1ull << 30) | (1ull << 15);
+    std::fill(planes, planes + nplanes * words, 0);
+    std::size_t r = 0;
+    for (; r + 4 <= n; r += 4) {
+        std::uint64_t quad;
+        std::memcpy(&quad, codes + r, sizeof quad);
+        std::uint64_t* word = planes + r / kPlaneRows;
+        const auto at = static_cast<unsigned>(r % kPlaneRows);
+        for (std::size_t b = 0; b < nplanes; ++b)
+            word[b * words] |=
+                ((((quad >> b) & kLaneBit) * kGather) >> 60) << at;
+    }
+    for (; r < n; ++r) {
+        std::uint64_t* word = planes + r / kPlaneRows;
+        const auto at = static_cast<unsigned>(r % kPlaneRows);
+        for (std::size_t b = 0; b < nplanes; ++b)
+            word[b * words] |= std::uint64_t{(codes[r] >> b) & 1u} << at;
+    }
+}
+
 /**
  * One sampled activation vector's contribution. Energies are summed
  * per-vector and reduced in ascending vector order afterwards, and the
@@ -263,11 +313,17 @@ struct VectorWalk
 {
     Rng rng;
     std::vector<double> x;      //!< input values
+    std::vector<std::uint16_t> xc; //!< their offset codes
     std::vector<double> xn;     //!< slice levels, slice-major
     std::vector<double> xn2;    //!< their squares (dacBits > 1 only)
-    std::vector<double> sumX2;  //!< per-slice x^2 sums over this tile
+    // Levels path, per tile:
+    std::vector<double> sumX2;  //!< per-slice x^2 sums
     std::vector<double> dotS;   //!< per-slice sum x*g (ADC input)
     std::vector<double> dotE;   //!< per-slice sum x^2*g (cells)
+    // Bit-plane path, per tile:
+    std::vector<std::uint64_t> xPlanes; //!< [ib * words + r / 64]
+    std::vector<std::uint32_t> counts;  //!< per-slice popcount(x & g)
+    std::vector<double> cellPj; //!< [ib * (len + 1) + count]
 };
 
 /** A row tile: array rows [c0, c1) of every conductance row. */
@@ -276,15 +332,30 @@ struct Tile
     std::int64_t c0, c1;
 
     std::int64_t len() const { return c1 - c0; }
+
+    /** Packed words per bit-plane row. */
+    std::int64_t words() const { return ceilDiv(len(), kPlaneRows); }
+};
+
+/**
+ * The row tile the block shares: conductance levels,
+ * g[(k * wb + w) * len + (c - c0)], or on the bit-plane path the packed
+ * cell bits, planes[(k * wb + w) * words + (c - c0) / 64].
+ */
+struct TileBuffer
+{
+    std::vector<double> g;
+    std::vector<std::uint64_t> planes;
+    /** Bit-plane path, fault-free per-cycle converts: adcPj per count. */
+    std::vector<double> adcPj;
 };
 
 /**
  * The value-level walk of one layer. Vectors run in blocks; for each row
- * tile the block shares one conductance buffer,
- * tile[(k * wb + w) * len + (c - c0)], and every vector walks it
- * in (k, wb, ib) order. Per vector, that is the same sequence of sums
- * and RNG draws as walking the whole layer vector by vector, so the
- * result does not depend on the tiling, the block size or the threads.
+ * tile the block shares one TileBuffer, and every vector walks it in
+ * (k, wb, ib) order. Per vector, that is the same sequence of sums and
+ * RNG draws as walking the whole layer vector by vector, so the result
+ * does not depend on the tiling, the block size or the threads.
  */
 struct LayerWalk
 {
@@ -292,7 +363,7 @@ struct LayerWalk
     const Physics& phys;
     const LayerShape& shape;
     const GenParams& gen;
-    const std::vector<double>& weights;
+    const std::vector<std::uint16_t>& codes; //!< [k * c_total + c]
     std::uint64_t layerSeed;
     std::uint64_t faultSeed;
     bool record;
@@ -300,19 +371,26 @@ struct LayerWalk
      *  element for element and the energy dot product equals the signal
      *  dot product (same doubles, same order): skip the second dot. */
     bool unitLevels;
-    std::vector<double> levels;    //!< [code * wb + w]: sliceNorm
+    /** 1-bit slices on 1-bit cells without cell faults: every level and
+     *  conductance is exactly 0.0 or 1.0, so tiles hold packed bit planes
+     *  and every dot product is an integer popcount. */
+    bool bitPlanes;
+    std::vector<double> levels;    //!< levels path: [code * wb + w]
     std::vector<double> bitWeight; //!< Macro-C cycle weights
 
     LayerWalk(const RefSimConfig& c, const Physics& p, const LayerShape& s,
-              const GenParams& g, const std::vector<double>& w,
+              const GenParams& g, const std::vector<std::uint16_t>& w,
               std::uint64_t layer_seed, std::uint64_t fault_seed, bool rec)
-        : config(c), phys(p), shape(s), gen(g), weights(w),
+        : config(c), phys(p), shape(s), gen(g), codes(w),
           layerSeed(layer_seed), faultSeed(fault_seed), record(rec),
-          unitLevels(c.dacBits == 1)
+          unitLevels(c.dacBits == 1),
+          bitPlanes(c.dacBits == 1 && c.cellBits == 1 &&
+                    !c.faults.cellFaultsEnabled())
     {
-        const std::int64_t codes = std::int64_t{1} << c.weightBits;
-        levels.resize(codes * s.wb);
-        for (std::int64_t code = 0; code < codes; ++code) {
+        const std::int64_t n_codes =
+            bitPlanes ? 0 : std::int64_t{1} << c.weightBits;
+        levels.resize(n_codes * s.wb);
+        for (std::int64_t code = 0; code < n_codes; ++code) {
             for (std::int64_t wb = 0; wb < s.wb; ++wb) {
                 levels[code * s.wb + wb] = sliceNorm(
                     code, static_cast<int>(wb), c.cellBits, c.weightBits);
@@ -328,13 +406,13 @@ struct LayerWalk
      *  stream makes the draw independent of which thread runs it. */
     void prepare(std::int64_t v, VectorWalk& w, VectorPartial& part) const;
 
-    /** Fills the wb conductance rows of output @p k over @p tile's rows
-     *  into @p g and injects their cell faults (counted into @p tally). */
-    void build(const Tile& tile, std::int64_t k, double* g,
+    /** Fills output @p k's wb conductance rows over @p tile's rows into
+     *  @p t and injects their cell faults (counted into @p tally). */
+    void build(const Tile& tile, std::int64_t k, TileBuffer& t,
                faults::CellFaultTally& tally) const;
 
     /** Walks @p w over the conductance rows of @p tile. */
-    void walk(const Tile& tile, const double* g, VectorWalk& w,
+    void walk(const Tile& tile, const TileBuffer& t, VectorWalk& w,
               VectorPartial& part) const;
 };
 
@@ -345,11 +423,13 @@ LayerWalk::prepare(std::int64_t v, VectorWalk& w, VectorPartial& part) const
     const std::int64_t wt_half = std::int64_t{1} << (config.weightBits - 1);
     w.rng = Rng::forStream(layerSeed, static_cast<std::uint64_t>(v));
     w.x.resize(shape.c_total);
+    w.xc.resize(shape.c_total);
     w.xn.resize(shape.ib * shape.c_total);
     w.xn2.resize(unitLevels ? 0 : shape.ib * shape.c_total);
     w.sumX2.resize(shape.ib);
     w.dotS.resize(shape.ib);
     w.dotE.resize(shape.ib);
+    w.counts.resize(shape.ib);
 
     // Correlated activations: a shared per-vector contrast factor.
     double contrast = std::exp(config.contrastStd * w.rng.gaussian());
@@ -385,6 +465,7 @@ LayerWalk::prepare(std::int64_t v, VectorWalk& w, VectorPartial& part) const
     // Slice levels for every input-bit slice of this vector.
     for (std::int64_t c = 0; c < shape.c_total; ++c) {
         std::int64_t code = offsetCode(w.x[c], config.inputBits);
+        w.xc[c] = static_cast<std::uint16_t>(code);
         for (std::int64_t ib = 0; ib < shape.ib; ++ib) {
             double level = sliceNorm(code, static_cast<int>(ib),
                                      config.dacBits, config.inputBits);
@@ -400,7 +481,10 @@ LayerWalk::prepare(std::int64_t v, VectorWalk& w, VectorPartial& part) const
              k < std::min<std::int64_t>(shape.k_total, 64); ++k) {
             double dot = 0.0;
             for (std::int64_t c = 0; c < shape.c_total; ++c)
-                dot += w.x[c] * weights[k * shape.c_total + c];
+                dot += w.x[c] *
+                       static_cast<double>(
+                           std::int64_t{codes[k * shape.c_total + c]} -
+                           wt_half);
             double norm = dot / (static_cast<double>(shape.c_total) *
                                  static_cast<double>(wt_half));
             part.outPts.push_back(
@@ -414,15 +498,24 @@ LayerWalk::prepare(std::int64_t v, VectorWalk& w, VectorPartial& part) const
 }
 
 void
-LayerWalk::build(const Tile& tile, std::int64_t k, double* g,
+LayerWalk::build(const Tile& tile, std::int64_t k, TileBuffer& t,
                  faults::CellFaultTally& tally) const
 {
     const std::int64_t len = tile.len();
-    for (std::int64_t c = tile.c0; c < tile.c1; ++c) {
-        std::int64_t code = offsetCode(weights[k * shape.c_total + c],
-                                       config.weightBits);
+    const std::uint16_t* row = &codes[k * shape.c_total + tile.c0];
+    if (bitPlanes) {
+        // Slice w of a 1-bit cell is bit w of the code.
+        const std::int64_t words = tile.words();
+        packPlanes(row, static_cast<std::size_t>(len),
+                   static_cast<std::size_t>(shape.wb),
+                   static_cast<std::size_t>(words),
+                   &t.planes[k * shape.wb * words]);
+        return;
+    }
+    double* g = &t.g[k * shape.wb * len];
+    for (std::int64_t c = 0; c < len; ++c) {
         for (std::int64_t wb = 0; wb < shape.wb; ++wb)
-            g[wb * len + (c - tile.c0)] = levels[code * shape.wb + wb];
+            g[wb * len + c] = levels[row[c] * shape.wb + wb];
     }
     // Each cell draws from its own counter-derived stream keyed by its
     // flat index (k * wb + w) * c_total + c in the layer's conductance
@@ -437,7 +530,7 @@ LayerWalk::build(const Tile& tile, std::int64_t k, double* g,
 }
 
 void
-LayerWalk::walk(const Tile& tile, const double* g, VectorWalk& w,
+LayerWalk::walk(const Tile& tile, const TileBuffer& t, VectorWalk& w,
                 VectorPartial& part) const
 {
     // ADC non-idealities: every convert of this vector reads out shifted
@@ -458,8 +551,8 @@ LayerWalk::walk(const Tile& tile, const double* g, VectorWalk& w,
     };
 
     const std::int64_t c0 = tile.c0;
-    const auto len = static_cast<std::size_t>(tile.len());
-    const auto rows_used = static_cast<double>(tile.len());
+    const std::int64_t len = tile.len();
+    const auto rows_used = static_cast<double>(len);
     const auto stride = static_cast<std::size_t>(shape.c_total);
     const auto slices = static_cast<std::size_t>(shape.ib);
     const std::vector<double>& xn2 = unitLevels ? w.xn : w.xn2;
@@ -474,64 +567,107 @@ LayerWalk::walk(const Tile& tile, const double* g, VectorWalk& w,
     }
     part.dacPj += static_cast<double>(shape.tiles_k) * dac_tile;
 
-    // Per-slice x^2 row sums over this tile: independent of (k, wb), so
-    // hoist them out of the column loops.
-    for (std::int64_t ib = 0; ib < shape.ib; ++ib)
-        w.sumX2[ib] = dist::sum(&xn2[ib * shape.c_total] + c0, len);
+    // Per-slice x^2 row sums over this tile are independent of (k, wb).
+    // On bit planes they are popcounts, and each slice's cell energy is
+    // tabulated per count d <= its popcount: the same expression of the
+    // same doubles as the levels path evaluates per row.
+    const std::int64_t words = tile.words();
+    const std::int64_t counts_per_slice = len + 1;
+    if (bitPlanes) {
+        w.xPlanes.resize(slices * words);
+        w.cellPj.resize(slices * counts_per_slice);
+        packPlanes(&w.xc[c0], static_cast<std::size_t>(len), slices,
+                   static_cast<std::size_t>(words), w.xPlanes.data());
+        for (std::int64_t ib = 0; ib < shape.ib; ++ib) {
+            const std::uint64_t* xs = &w.xPlanes[ib * words];
+            std::uint32_t ones = 0; // popcount(x & x)
+            dist::andCountRows(xs, 0, 1, xs, static_cast<std::size_t>(words),
+                               &ones);
+            const auto sum_x2 = static_cast<double>(ones);
+            double* cell = &w.cellPj[ib * counts_per_slice];
+            for (std::uint32_t d = 0; d <= ones; ++d)
+                cell[d] = Physics::cellTilePj(sum_x2, d);
+        }
+    } else {
+        for (std::int64_t ib = 0; ib < shape.ib; ++ib)
+            w.sumX2[ib] = dist::sum(&xn2[ib * shape.c_total] + c0,
+                                    static_cast<std::size_t>(len));
+    }
 
     // The running sums live in locals for the tile (the same additions in
     // the same order), so the dot kernels' stores cannot force them out
-    // to memory and workers never write a shared cache line per row.
+    // to memory and workers never write a shared cache line per row. The
+    // loop invariants are hoisted too: the kernels are opaque calls.
     double cell_pj = part.cellPj;
     double adc_pj = part.adcPj;
     double digital_pj = part.digitalPj;
-    std::int64_t values = part.values;
-    const double v2 = Physics::kVRead * Physics::kVRead;
-    for (std::int64_t k = 0; k < shape.k_total; ++k) {
-        for (std::int64_t wb = 0; wb < shape.wb; ++wb) {
-            // One conductance row against every input slice of this
-            // vector, each dot under the fixed association from
-            // reduce.hh — the same bytes at any thread count.
-            const double* gr = g + (k * shape.wb + wb) * tile.len();
-            if (unitLevels) {
-                dist::dotRows(&w.xn[c0], stride, slices, gr, len,
-                              w.dotS.data());
-            } else {
-                dist::dotPairRows(&w.xn[c0], &xn2[c0], stride, slices, gr,
-                                  len, w.dotS.data(), w.dotE.data());
+    const bool accumulate = config.accumulateAcrossInputBits;
+    const double shift_add_pj = phys.shiftAddPj();
+    const std::int64_t g_rows = shape.k_total * shape.wb;
+    // The Macro-C accumulator converts once per conductance row.
+    auto convertAccumulated = [&](double acc_s) {
+        double norm = acc_s / (2.0 * rows_used);
+        adc_pj += phys.adcPj(adcReadout(norm));
+        digital_pj += shift_add_pj;
+    };
+    // Conductance rows (k, wb) in order against every input slice of
+    // this vector: popcounts on bit planes, otherwise each dot under the
+    // fixed association from reduce.hh — the same bytes at any thread
+    // count. Per slice, the cell energy (exact over the tile), then the
+    // slice's ADC convert or its share of the accumulated one.
+    if (bitPlanes) {
+        const double* adc_tab = t.adcPj.empty() ? nullptr : t.adcPj.data();
+        const double* cell_tab = w.cellPj.data();
+        std::uint32_t* counts = w.counts.data();
+        for (std::int64_t row = 0; row < g_rows; ++row) {
+            dist::andCountRows(w.xPlanes.data(), words, slices,
+                               &t.planes[row * words], words, counts);
+            double acc_s = 0.0;
+            for (std::int64_t ib = 0; ib < shape.ib; ++ib) {
+                const std::uint32_t d = counts[ib];
+                cell_pj += cell_tab[ib * counts_per_slice + d];
+                if (accumulate) {
+                    acc_s += d * bitWeight[ib];
+                } else {
+                    adc_pj += adc_tab ? adc_tab[d]
+                                      : phys.adcPj(adcReadout(d / rows_used));
+                    digital_pj += shift_add_pj;
+                }
             }
-            const std::vector<double>& dot_e = unitLevels ? w.dotS : w.dotE;
-            double acc_s = 0.0; // accumulated across cycles
+            if (accumulate)
+                convertAccumulated(acc_s);
+        }
+    } else {
+        const std::vector<double>& dot_e = unitLevels ? w.dotS : w.dotE;
+        for (std::int64_t row = 0; row < g_rows; ++row) {
+            if (unitLevels) {
+                dist::dotRows(&w.xn[c0], stride, slices, &t.g[row * len],
+                              len, w.dotS.data());
+            } else {
+                dist::dotPairRows(&w.xn[c0], &xn2[c0], stride, slices,
+                                  &t.g[row * len], len, w.dotS.data(),
+                                  w.dotE.data());
+            }
+            double acc_s = 0.0;
             for (std::int64_t ib = 0; ib < shape.ib; ++ib) {
                 const double dot_s = w.dotS[ib]; // sum x*g (ADC input)
-                // Cell energy, exact over the tile.
-                cell_pj +=
-                    (Physics::kGOffUs * w.sumX2[ib] +
-                     (Physics::kGOnUs - Physics::kGOffUs) * dot_e[ib]) *
-                    v2 * Physics::kTReadNs / 1000.0;
-                values += tile.len();
-                if (config.accumulateAcrossInputBits) {
-                    // Integrate on the analog accumulator
-                    // (binary-weighted across cycles).
+                cell_pj += Physics::cellTilePj(w.sumX2[ib], dot_e[ib]);
+                if (accumulate) {
                     acc_s += dot_s * bitWeight[ib];
                 } else {
                     adc_pj += phys.adcPj(adcReadout(dot_s / rows_used));
-                    digital_pj += phys.shiftAddPj();
-                    ++values;
+                    digital_pj += shift_add_pj;
                 }
             }
-            if (config.accumulateAcrossInputBits) {
-                double norm = acc_s / (2.0 * rows_used);
-                adc_pj += phys.adcPj(adcReadout(norm));
-                digital_pj += phys.shiftAddPj();
-                ++values;
-            }
+            if (accumulate)
+                convertAccumulated(acc_s);
         }
     }
     part.cellPj = cell_pj;
     part.adcPj = adc_pj;
     part.digitalPj = digital_pj;
-    part.values = values;
+    // Values: every cell read of each slice, plus each ADC convert.
+    part.values += g_rows * (shape.ib * len + (accumulate ? 1 : shape.ib));
 }
 
 } // namespace
@@ -556,6 +692,12 @@ simulateValueLevel(const RefSimConfig& config, const Layer& layer,
     if (config.threads < 1) {
         CIM_FATAL("refsim threads must be >= 1, got ", config.threads);
     }
+    for (int bits : {config.inputBits, config.weightBits}) {
+        if (bits < 1 || bits > 16) {
+            CIM_FATAL("refsim input and weight bits must be in [1, 16] "
+                      "(codes are 16-bit), got ", bits);
+        }
+    }
     config.faults.validate();
     Physics phys(config);
     LayerShape shape(config, layer);
@@ -576,8 +718,12 @@ simulateValueLevel(const RefSimConfig& config, const Layer& layer,
 
     const std::int64_t wt_half = std::int64_t{1} << (config.weightBits - 1);
 
-    // --- Sample the (correlated) weight matrix once: per-filter scale. ---
-    std::vector<double> weights(shape.c_total * shape.k_total);
+    // --- Sample the (correlated) weight matrix once: per-filter scale.
+    // Each weight is kept as its offset code (weight + wt_half) and
+    // counted into the recorded weight histogram as it is drawn.
+    std::vector<std::uint16_t> codes(shape.c_total * shape.k_total);
+    std::vector<std::int64_t> code_counts(
+        static_cast<std::size_t>(2 * wt_half), 0);
     for (std::int64_t k = 0; k < shape.k_total; ++k) {
         double filter_scale = std::exp(0.3 * rng.gaussian());
         for (std::int64_t c = 0; c < shape.c_total; ++c) {
@@ -585,7 +731,10 @@ simulateValueLevel(const RefSimConfig& config, const Layer& layer,
                        static_cast<double>(wt_half) * rng.gaussian();
             w = std::max(std::min(w, static_cast<double>(wt_half - 1)),
                          static_cast<double>(-wt_half));
-            weights[k * shape.c_total + c] = std::round(w);
+            const auto code = static_cast<std::uint16_t>(
+                static_cast<std::int64_t>(std::round(w)) + wt_half);
+            codes[k * shape.c_total + c] = code;
+            ++code_counts[code];
         }
     }
 
@@ -603,13 +752,22 @@ simulateValueLevel(const RefSimConfig& config, const Layer& layer,
     // truth-vs-model comparison the fault tests assert.
     const bool record = out_profile != nullptr;
     const LayerWalk lw(
-        config, phys, shape, gen, weights, layer_seed,
+        config, phys, shape, gen, codes, layer_seed,
         faults::layerFaultSeed(config.faults, layer.name, layer.index),
         record);
 
     // One reused row tile: `rows` array rows of every conductance row.
-    std::vector<double> tile_g(shape.k_total * shape.wb *
-                               std::min(config.rows, shape.c_total));
+    const std::int64_t tile_rows = std::min(config.rows, shape.c_total);
+    TileBuffer tile_buf;
+    if (lw.bitPlanes) {
+        tile_buf.planes.resize(shape.k_total * shape.wb *
+                               ceilDiv(tile_rows, kPlaneRows));
+    } else {
+        tile_buf.g.resize(shape.k_total * shape.wb * tile_rows);
+    }
+    const bool adc_table = lw.bitPlanes &&
+                           !config.faults.adcFaultsEnabled() &&
+                           !config.accumulateAcrossInputBits;
 
     // Blocks of sampled vectors; each vector draws from its own
     // counter-derived stream (Rng::forStream(layer_seed, v)), so the
@@ -637,15 +795,23 @@ simulateValueLevel(const RefSimConfig& config, const Layer& layer,
                 config.threads, static_cast<std::size_t>(shape.k_total),
                 [&](std::size_t k) {
                     faults::CellFaultTally tally;
-                    lw.build(tile, static_cast<std::int64_t>(k),
-                             &tile_g[k * shape.wb * tile.len()], tally);
+                    lw.build(tile, static_cast<std::int64_t>(k), tile_buf,
+                             tally);
                     if (b0 == 0 && config.faults.cellFaultsEnabled())
                         faults::countCellFaults(tally);
                 },
                 &config.cancel);
+            // Fault-free converts of a d-row count read out d / len.
+            if (adc_table) {
+                const auto rows_used = static_cast<double>(tile.len());
+                tile_buf.adcPj.resize(tile.len() + 1);
+                for (std::int64_t d = 0; d <= tile.len(); ++d)
+                    tile_buf.adcPj[d] =
+                        phys.adcPj(static_cast<double>(d) / rows_used);
+            }
             parallelFor(config.threads, nb,
                         [&](std::size_t i) {
-                            lw.walk(tile, tile_g.data(), block[i],
+                            lw.walk(tile, tile_buf, block[i],
                                     partials[b0 + i]);
                         },
                         &config.cancel);
@@ -707,13 +873,7 @@ simulateValueLevel(const RefSimConfig& config, const Layer& layer,
                      static_cast<double>(in_counts[i])});
         }
         out_profile->inputs = Pmf::fromPoints(std::move(in_pts));
-        out_profile->weights = Pmf::fromPoints([&] {
-            std::vector<Pmf::Point> pts;
-            pts.reserve(weights.size());
-            for (double w : weights)
-                pts.push_back({w, 1.0});
-            return pts;
-        }());
+        out_profile->weights = Pmf::fromCounts(-wt_half, code_counts);
         out_profile->outputs = out_hist.empty()
             ? Pmf::delta(0.0)
             : Pmf::fromPoints(std::move(out_hist));

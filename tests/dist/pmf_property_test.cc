@@ -18,12 +18,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <vector>
 
 #include "cimloop/common/util.hh"
 #include "cimloop/dist/reduce.hh"
+#include "cimloop/obs/obs.hh"
 
 namespace cimloop::dist {
 namespace {
@@ -352,6 +354,139 @@ TEST(PmfSimdProperty, MixtureLatticePathMatchesConcatReference)
                 concat.push_back({pt.value, pt.prob * w});
         }
         expectBitIdentical(Pmf::fromPoints(std::move(concat)), mix, c);
+    }
+}
+
+/** Which fromPoints branch the calls in @p fn took: the growth of the
+ *  dist.pmf.from_points.{lattice,fallback} counters. */
+template <class Fn>
+std::pair<std::uint64_t, std::uint64_t>
+fromPointsBranches(Fn&& fn)
+{
+    obs::Counter& lattice = obs::counter("dist.pmf.from_points.lattice");
+    obs::Counter& fallback = obs::counter("dist.pmf.from_points.fallback");
+    const std::uint64_t l0 = lattice.value(), f0 = fallback.value();
+    fn();
+    return {lattice.value() - l0, fallback.value() - f0};
+}
+
+TEST(PmfProperty, FromCountsMatchesExpandedFromPoints)
+{
+    // The histogram constructor against fromPoints of the unit-weight
+    // sample list it stands for: the same points bit for bit, the same
+    // lattice / fallback counter. Four shapes of histogram: a dense
+    // span, a sparse wide span (fallback), a single value and a 16-bit
+    // span, each from a few samples up to many.
+    for (int c = 0; c < kCases; ++c) {
+        Rng rng = Rng::forStream(kSuiteSeed + 21,
+                                 static_cast<std::uint64_t>(c));
+        std::int64_t lo = 0;
+        std::vector<std::int64_t> counts;
+        switch (c % 4) {
+        case 0: // dense: every value of a small span drawn often
+            lo = static_cast<std::int64_t>(rng.below(41)) - 20;
+            counts.resize(1 + rng.below(64));
+            for (std::int64_t& n : counts)
+                n = static_cast<std::int64_t>(rng.below(30));
+            break;
+        case 1: // sparse: a handful of samples across a wide span
+            lo = -static_cast<std::int64_t>(rng.below(5000));
+            counts.assign(2000 + rng.below(8000), 0);
+            counts.front() = counts.back() = 1;
+            for (std::size_t i = 0, n = rng.below(12); i < n; ++i)
+                ++counts[rng.below(counts.size())];
+            break;
+        case 2: // one value
+            lo = static_cast<std::int64_t>(rng.below(1001)) - 500;
+            counts.assign(1 + rng.below(8), 0);
+            counts[rng.below(counts.size())] =
+                1 + static_cast<std::int64_t>(rng.below(1000));
+            break;
+        default: // a 16-bit span, Gaussian-ish around its middle
+            lo = -32768;
+            counts.assign(65536, 0);
+            for (std::size_t i = 0, n = 1 + rng.below(20000); i < n; ++i) {
+                double v = std::round(3000.0 * rng.gaussian());
+                v = std::clamp(v, -32768.0, 32767.0);
+                ++counts[static_cast<std::size_t>(
+                    static_cast<std::int64_t>(v) + 32768)];
+            }
+            break;
+        }
+        if (std::all_of(counts.begin(), counts.end(),
+                        [](std::int64_t n) { return n == 0; }))
+            counts[0] = 1;
+
+        // The expanded list, in a shuffled order as a sampler emits it.
+        std::vector<Pmf::Point> pts;
+        for (std::size_t i = 0; i < counts.size(); ++i) {
+            for (std::int64_t n = 0; n < counts[i]; ++n)
+                pts.push_back(
+                    {static_cast<double>(lo + static_cast<std::int64_t>(i)),
+                     1.0});
+        }
+        for (std::size_t i = pts.size(); i > 1; --i)
+            std::swap(pts[i - 1], pts[rng.below(i)]);
+
+        Pmf want, got;
+        const auto want_branch = fromPointsBranches(
+            [&] { want = Pmf::fromPoints(pts); });
+        const auto got_branch =
+            fromPointsBranches([&] { got = Pmf::fromCounts(lo, counts); });
+        EXPECT_EQ(want_branch, got_branch) << "case " << c;
+        expectBitIdentical(want, got, c);
+        if (c % 4 == 1) {
+            EXPECT_EQ(got_branch.second, 1u)
+                << "case " << c << ": the sparse span must fall back";
+        }
+    }
+}
+
+TEST(DistReduce, AndCountRowsCountsCommonBits)
+{
+    // Every row of m = 1..9 rows at a stride longer than n, n = 0..70
+    // words (past the 31-word lane chunk), against std::popcount and
+    // against dotRows over the same bits unpacked to 0.0 / 1.0 levels.
+    Rng rng = Rng::forStream(kSuiteSeed + 22, 0);
+    for (std::size_t n = 0; n <= 70; ++n) {
+        const std::size_t stride = n + 2;
+        for (std::size_t m = 1; m <= 9; ++m) {
+            std::vector<std::uint64_t> x(m * stride), g(n);
+            // Dense, sparse and all-ones words.
+            auto word = [&] {
+                switch (rng.below(3)) {
+                case 0: return rng.next();
+                case 1: return rng.next() & rng.next() & rng.next();
+                default: return ~std::uint64_t{0};
+                }
+            };
+            for (std::uint64_t& v : x)
+                v = word();
+            for (std::uint64_t& v : g)
+                v = word();
+            std::vector<std::uint32_t> out(m, 12345);
+            andCountRows(x.data(), stride, m, g.data(), n, out.data());
+
+            std::vector<double> xl(m * 64 * n), gl(64 * n);
+            for (std::size_t b = 0; b < 64 * n; ++b) {
+                gl[b] = static_cast<double>((g[b / 64] >> (b % 64)) & 1);
+                for (std::size_t r = 0; r < m; ++r)
+                    xl[r * 64 * n + b] = static_cast<double>(
+                        (x[r * stride + b / 64] >> (b % 64)) & 1);
+            }
+            std::vector<double> dots(m, -1.0);
+            dotRows(xl.data(), 64 * n, m, gl.data(), 64 * n, dots.data());
+            for (std::size_t r = 0; r < m; ++r) {
+                std::uint32_t want = 0;
+                for (std::size_t j = 0; j < n; ++j)
+                    want += static_cast<std::uint32_t>(
+                        std::popcount(x[r * stride + j] & g[j]));
+                EXPECT_EQ(out[r], want)
+                    << "n=" << n << " m=" << m << " row " << r;
+                EXPECT_EQ(static_cast<double>(out[r]), dots[r])
+                    << "n=" << n << " m=" << m << " row " << r;
+            }
+        }
     }
 }
 

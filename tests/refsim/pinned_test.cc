@@ -10,6 +10,11 @@
  * the whole set ran. The constants were recorded before the walk was made
  * tile-major; any change to what the walk draws, sums or counts moves
  * them. Each config runs at 1 and 4 threads against the same constant.
+ *
+ * The BinaryPath* cases were recorded before the 1-bit walk moved onto
+ * packed bit planes and the weights onto integer codes. They also digest
+ * the `dist.pmf.from_points.*` counters, which pin whether each recorded
+ * profile took the lattice or the fallback merge.
  */
 #include "cimloop/refsim/refsim.hh"
 
@@ -118,7 +123,7 @@ manyVectorLayer()
 /** Digest of simulateValueLevel over @p layers (see the file comment). */
 std::string
 refsimDigest(RefSimConfig c, const std::vector<workload::Layer>& layers,
-             int threads)
+             int threads, bool pmf_counters)
 {
     c.threads = threads;
     obs::resetAll();
@@ -138,8 +143,11 @@ refsimDigest(RefSimConfig c, const std::vector<workload::Layer>& layers,
     for (const auto& [name, value] : obs::snapshot().counters) {
         // Zero counters are skipped: which ones exist depends on what
         // else ran in this process.
-        if (value != 0 && (name.rfind("refsim.", 0) == 0 ||
-                           name.rfind("faults.cells.", 0) == 0)) {
+        if (value != 0 &&
+            (name.rfind("refsim.", 0) == 0 ||
+             name.rfind("faults.cells.", 0) == 0 ||
+             (pmf_counters &&
+              name.rfind("dist.pmf.from_points.", 0) == 0))) {
             d.text(name);
             d.u64(value);
         }
@@ -147,12 +155,14 @@ refsimDigest(RefSimConfig c, const std::vector<workload::Layer>& layers,
     return d.hex();
 }
 
+/** Digests at 1 and 4 threads against @p want; @p pmf_counters adds
+ *  the `dist.pmf.from_points.*` counters to the digest. */
 void
 expectPinned(const RefSimConfig& c, const std::vector<workload::Layer>& l,
-             const char* want)
+             const char* want, bool pmf_counters = false)
 {
     for (int threads : {1, 4})
-        EXPECT_EQ(refsimDigest(c, l, threads), want)
+        EXPECT_EQ(refsimDigest(c, l, threads, pmf_counters), want)
             << threads << " threads";
 }
 
@@ -215,6 +225,55 @@ TEST(RefsimPinned, SeveralVectorBlocks)
     c.faults.conductanceSigma = 0.1;
     c.faults.adcNoiseSigma = 0.01;
     expectPinned(c, manyVectorLayer(), "ae477e1527e2a56b");
+}
+
+TEST(RefsimPinned, BinaryPathBenchConfig)
+{
+    expectPinned(benchConfig(), pinnedLayers(), "f3d3281fcb790fec", true);
+    expectPinned(benchConfig(), manyVectorLayer(), "c1ccc829969a6ddd", true);
+}
+
+TEST(RefsimPinned, BinaryPathAdcFaults)
+{
+    // ADC offset and noise draws without cell faults: the walk stays on
+    // 1-bit slices and 1-bit cells.
+    RefSimConfig c = benchConfig();
+    c.faults.adcOffset = 0.01;
+    c.faults.adcNoiseSigma = 0.02;
+    c.faults.seed = 3;
+    expectPinned(c, pinnedLayers(), "4fc680c04b101b47", true);
+    c.accumulateAcrossInputBits = true;
+    expectPinned(c, pinnedLayers(), "89ae86c0a3d63e2b", true);
+}
+
+TEST(RefsimPinned, BinaryPathOneWordTiles)
+{
+    // 64-row tiles: 147 = 2 * 64 + 19 and 576 = 9 * 64.
+    RefSimConfig c = benchConfig();
+    c.rows = 64;
+    expectPinned(c, pinnedLayers(), "185e123bfd63c5e3", true);
+}
+
+TEST(RefsimPinned, BinaryPathTailWordTiles)
+{
+    // 300-row tiles end in a partial word, and a slice's count of set
+    // input bits exceeds 255 (the top slice of every non-negative input).
+    RefSimConfig c = benchConfig();
+    c.rows = 300;
+    expectPinned(c, pinnedLayers(), "8520396e4c2b0e54", true);
+}
+
+TEST(RefsimPinned, BinaryPathWeightBits)
+{
+    RefSimConfig c = benchConfig();
+    c.weightBits = 3;
+    expectPinned(c, pinnedLayers(), "8b4e4f1a5d28c1ad", true);
+    expectPinned(c, manyVectorLayer(), "05d78e5ad2201bd1", true);
+    // 16-bit codes: the small layer's weight profile is too sparse for
+    // the lattice merge and takes the fallback.
+    c.weightBits = 16;
+    expectPinned(c, pinnedLayers(), "969b15731921fbca", true);
+    expectPinned(c, manyVectorLayer(), "933cc1e74290c1fe", true);
 }
 
 } // namespace

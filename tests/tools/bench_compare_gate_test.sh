@@ -2,8 +2,8 @@
 # Self-test for scripts/bench_compare.sh using fixture snapshots: the
 # gate must pass matching runs, fail regressed ones (with REGRESSED in
 # the report), tolerate improvements, fail when a gated kernel vanishes
-# from the current run (MISSING), and error out when no gated kernel is
-# present. Registered in tests/CMakeLists.txt as
+# from the current run (MISSING), error out when no gated kernel is
+# present, and gate repetition snapshots on their median aggregate. Registered in tests/CMakeLists.txt as
 # `bench_compare_gate`, so tier-1 ctest exercises the gate itself.
 set -euo pipefail
 
@@ -123,5 +123,53 @@ write_names "${TMP}/extra.json" BM_Evaluate BM_Ungated
 BENCH_REPORT="${TMP}/report_ungated.txt" \
     "${COMPARE}" -b "${TMP}/extra.json" -c "${TMP}/one.json" \
     >/dev/null || fail "a vanished ungated kernel should pass"
+
+# 7. Repetition snapshots (aggregates only, as bench_snapshot.sh records
+#    them) gate on the median: a mean dragged up by one slow repetition
+#    does not trip the gate, a slower median does, and an old
+#    single-run baseline compares against the current median.
+write_aggregates() { # path median_ns mean_ns
+    cat > "$1" <<EOF
+{
+  "context": {"cimloop_build_type": "release"},
+  "benchmarks": [
+    {"name": "BM_PmfConvolveLattice_mean", "run_name": "BM_PmfConvolveLattice",
+     "run_type": "aggregate", "aggregate_name": "mean",
+     "real_time": $3, "time_unit": "ns"},
+    {"name": "BM_PmfConvolveLattice_median",
+     "run_name": "BM_PmfConvolveLattice", "run_type": "aggregate",
+     "aggregate_name": "median", "real_time": $2, "time_unit": "ns"},
+    {"name": "BM_PmfConvolveLattice_stddev",
+     "run_name": "BM_PmfConvolveLattice", "run_type": "aggregate",
+     "aggregate_name": "stddev", "real_time": 50, "time_unit": "ns"}
+  ]
+}
+EOF
+}
+write_aggregates "${TMP}/agg_base.json" 1000 1000
+write_aggregates "${TMP}/agg_outlier.json" 1050 9000 # one slow repetition
+write_aggregates "${TMP}/agg_slow.json" 2000 2000
+BENCH_REPORT="${TMP}/report_agg_ok.txt" \
+    "${COMPARE}" -b "${TMP}/agg_base.json" -c "${TMP}/agg_outlier.json" \
+    >/dev/null || fail "a median within tolerance should pass"
+grep -q 'BM_PmfConvolveLattice .* 1000.0 .* 1050.0' \
+    "${TMP}/report_agg_ok.txt" ||
+    fail "report does not compare the median aggregates"
+if grep -q 'BM_PmfConvolveLattice_m' "${TMP}/report_agg_ok.txt"; then
+    fail "aggregate entries must not appear as kernels of their own"
+fi
+rc=0
+BENCH_REPORT="${TMP}/report_agg_bad.txt" \
+    "${COMPARE}" -b "${TMP}/agg_base.json" -c "${TMP}/agg_slow.json" \
+    >/dev/null || rc=$?
+[ "${rc}" -eq 1 ] || fail "a regressed median should exit 1, got ${rc}"
+grep -q 'BM_PmfConvolveLattice.*REGRESSED' "${TMP}/report_agg_bad.txt" ||
+    fail "report does not mark the regressed median"
+rc=0
+BENCH_REPORT="${TMP}/report_agg_mixed.txt" \
+    "${COMPARE}" -b "${TMP}/faster_base.json" -c "${TMP}/agg_base.json" \
+    >/dev/null || rc=$?
+[ "${rc}" -eq 1 ] ||
+    fail "single-run 500ns vs median 1000ns should exit 1, got ${rc}"
 
 echo "bench_compare_gate: all cases passed"
