@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "cimloop/common/pareto.hh"
 #include "cimloop/dist/encoding.hh"
 #include "cimloop/dist/pmf.hh"
 #include "cimloop/dist/reduce.hh"
@@ -608,7 +609,7 @@ BM_DseParetoFrontInsert(benchmark::State& state)
     for (std::size_t i = 0; i < n; ++i)
         rows.push_back({rng.uniform(), rng.uniform(), rng.uniform()});
     for (auto _ : state) {
-        dse::ParetoFront front(3);
+        ParetoFront front(3);
         for (std::size_t i = 0; i < n; ++i)
             front.insert(i, rows[i]);
         benchmark::DoNotOptimize(front.size());

@@ -4,10 +4,12 @@
  * for the value-level reference simulator (the paper's NeuroSim column)
  * vs CiMLoop's statistical pipeline, at 1 mapping and at many mappings
  * per layer (amortization of the per-(arch, layer) precompute), single-
- * and multi-threaded.
+ * and multi-threaded. Every rate is the median of 5 trials of at least
+ * 0.5 s each.
  */
 #include "common.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <thread>
@@ -48,28 +50,55 @@ benchLayers()
 }
 
 /**
+ * Median over 5 trials of @p units per second, where each trial repeats
+ * @p call until at least 0.5 s have passed. One call of the fast rows
+ * lasts a few milliseconds, too short to time alone.
+ */
+template <typename Call>
+double
+medianRate(double units, Call&& call)
+{
+    constexpr int kTrials = 5;
+    constexpr double kMinTrialSeconds = 0.5;
+    std::vector<double> rates;
+    for (int t = 0; t < kTrials; ++t) {
+        Clock::time_point start = Clock::now();
+        int calls = 0;
+        double dt = 0.0;
+        do {
+            call();
+            ++calls;
+            dt = seconds(start, Clock::now());
+        } while (dt < kMinTrialSeconds);
+        rates.push_back(units * calls / dt);
+    }
+    std::sort(rates.begin(), rates.end());
+    return rates[kTrials / 2];
+}
+
+/**
  * (mappings x layers)/s for the CiMLoop statistical pipeline, timed on
  * the search path users run: searchMappings() scores the greedy mapping
- * plus mappings - 1 samples per layer. The per-action cache starts
- * empty, so every layer's precompute is in the time too.
+ * plus mappings - 1 samples per layer. Each call starts from an empty
+ * per-action cache, so every layer's precompute is in the time too.
  */
 double
 cimloopRate(const std::vector<workload::Layer>& layers, int mappings,
             int threads)
 {
     engine::Arch arch = macros::baseMacro();
-    engine::clearPerActionCache();
     auto evalLayer = [&](const workload::Layer& layer) {
         return engine::searchMappings(arch, layer, mappings - 1, 7)
             .best.energyPj;
     };
-
-    Clock::time_point start = Clock::now();
-    volatile double sink = 0.0;
-    if (threads <= 1) {
-        for (const workload::Layer& l : layers)
-            sink = sink + evalLayer(l);
-    } else {
+    auto call = [&] {
+        engine::clearPerActionCache();
+        volatile double sink = 0.0;
+        if (threads <= 1) {
+            for (const workload::Layer& l : layers)
+                sink = sink + evalLayer(l);
+            return;
+        }
         std::vector<std::thread> pool;
         std::atomic<std::size_t> next{0};
         for (int t = 0; t < threads; ++t) {
@@ -83,10 +112,10 @@ cimloopRate(const std::vector<workload::Layer>& layers, int mappings,
         }
         for (std::thread& t : pool)
             t.join();
-    }
-    double dt = seconds(start, Clock::now());
-    return static_cast<double>(mappings) *
-           static_cast<double>(layers.size()) / dt;
+    };
+    return medianRate(static_cast<double>(mappings) *
+                          static_cast<double>(layers.size()),
+                      call);
 }
 
 /**
@@ -100,13 +129,12 @@ intraLayerRate(const workload::Layer& layer, int mappings, int threads,
                engine::SearchResult* out = nullptr)
 {
     engine::Arch arch = macros::baseMacro();
-    Clock::time_point start = Clock::now();
-    engine::SearchResult sr = engine::searchMappings(
-        arch, layer, mappings, 7, {.threads = threads});
-    double dt = seconds(start, Clock::now());
-    if (out)
-        *out = std::move(sr);
-    return static_cast<double>(mappings) / dt;
+    return medianRate(mappings, [&] {
+        engine::SearchResult sr = engine::searchMappings(
+            arch, layer, mappings, 7, {.threads = threads});
+        if (out)
+            *out = std::move(sr);
+    });
 }
 
 /** (mappings x layers)/s for the value-level reference simulator. */
@@ -117,12 +145,11 @@ refsimRate(const std::vector<workload::Layer>& layers)
     cfg.rows = 128;
     cfg.cols = 128;
     cfg.maxVectors = 24;
-    Clock::time_point start = Clock::now();
-    volatile double sink = 0.0;
-    for (const workload::Layer& l : layers)
-        sink = sink + refsim::simulateValueLevel(cfg, l).totalPj();
-    double dt = seconds(start, Clock::now());
-    return static_cast<double>(layers.size()) / dt;
+    return medianRate(static_cast<double>(layers.size()), [&] {
+        volatile double sink = 0.0;
+        for (const workload::Layer& l : layers)
+            sink = sink + refsim::simulateValueLevel(cfg, l).totalPj();
+    });
 }
 
 } // namespace
@@ -170,8 +197,8 @@ main()
     const int kIntraMappings = 2000;
     workload::Layer single = layers.front();
     engine::clearPerActionCache();
-    engine::SearchResult warm;
-    intraLayerRate(single, 64, 1, &warm); // warm the per-action cache
+    // Warm the per-action cache.
+    (void)engine::searchMappings(macros::baseMacro(), single, 64, 7);
 
     engine::SearchResult sr1, sr8;
     double intra_1 = intraLayerRate(single, kIntraMappings, 1, &sr1);

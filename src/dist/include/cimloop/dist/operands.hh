@@ -47,7 +47,8 @@ OperandProfile synthesizeOperands(const std::string& network,
                                   int layer_index, int num_layers,
                                   int input_bits, int weight_bits);
 
-/** FNV-1a hash of a string, used to seed deterministic per-layer draws. */
+/** fnv1a64 of a string (1 in place of 0), used to seed deterministic
+ *  per-layer draws. */
 std::uint64_t stableHash(const std::string& s);
 
 } // namespace cimloop::dist

@@ -10,11 +10,7 @@ namespace cimloop::dist {
 std::uint64_t
 stableHash(const std::string& s)
 {
-    std::uint64_t h = 0xCBF29CE484222325ull;
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001B3ull;
-    }
+    const std::uint64_t h = fnv1a64(s);
     return h ? h : 1;
 }
 

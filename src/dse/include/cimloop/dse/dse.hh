@@ -448,51 +448,11 @@ forEachPoint(const SweepSpec& spec, int threads,
              const std::function<void(const SweepPoint&)>& fn);
 
 /**
- * Incrementally maintained Pareto frontier (all dimensions minimized).
- * insert() is dominance-prune: a candidate dominated by a member is
- * rejected; members the candidate dominates are evicted. Equal rows are
- * both kept. The nondominated set is independent of insertion order, so
- * streaming chunks through this matches a batch pass over the full
- * grid. Cost per insert is O(frontier * dims) — for a million-point
- * sweep that replaces the old O(n²) end-of-run scan.
- */
-class ParetoFront
-{
-  public:
-    /** Outcome of one insert. */
-    struct Insertion
-    {
-        bool added = false;
-        std::vector<std::size_t> evicted; //!< indices pruned by this add
-    };
-
-    explicit ParetoFront(std::size_t dims) : dims_(dims) {}
-
-    /** Offers (index, objectives) to the frontier. Fatal (panic) when
-     *  the row's dimensionality differs from the front's. */
-    Insertion insert(std::size_t index, const std::vector<double>& row);
-
-    std::size_t size() const { return members_.size(); }
-
-    /** Current member indices, ascending. */
-    std::vector<std::size_t> indices() const;
-
-  private:
-    struct Member
-    {
-        std::size_t index;
-        std::vector<double> row;
-    };
-    std::size_t dims_;
-    std::vector<Member> members_;
-};
-
-/**
  * Indices of the nondominated rows of @p objectives (all dimensions
  * minimized), ascending. A row is dominated when another row is <= in
  * every dimension and < in at least one; equal rows are both kept.
- * Implemented by streaming the rows through a ParetoFront, O(n * f)
- * instead of the former O(n²) all-pairs scan.
+ * Implemented by streaming the rows through the shared ParetoFront
+ * (common/pareto.hh), O(n * f) instead of an O(n²) all-pairs scan.
  */
 std::vector<std::size_t>
 paretoIndices(const std::vector<std::vector<double>>& objectives);

@@ -1,7 +1,7 @@
 /**
  * @file
- * The chunked parallel sweep executor, the streaming Pareto frontier,
- * and checkpoint/resume.
+ * The chunked parallel sweep executor, its streaming Pareto frontier
+ * (over the shared common/pareto.hh front), and checkpoint/resume.
  *
  * Determinism: the grid is sharded into fixed-size chunks processed in
  * grid order; inside a chunk points are claimed dynamically but every
@@ -31,6 +31,7 @@
 
 #include "cimloop/common/error.hh"
 #include "cimloop/common/parallel.hh"
+#include "cimloop/common/pareto.hh"
 #include "cimloop/common/util.hh"
 #include "cimloop/dse/journal.hh"
 #include "cimloop/layout/layout.hh"
@@ -325,54 +326,6 @@ sweepNetworkKeys(const SweepSpec& spec)
     }
     return {spec.workloadPath.empty() ? "name:" + spec.network
                                       : "file:" + spec.workloadPath};
-}
-
-ParetoFront::Insertion
-ParetoFront::insert(std::size_t index, const std::vector<double>& row)
-{
-    CIM_ASSERT(row.size() == dims_,
-               "pareto rows must have equal dimensionality");
-    auto dominates = [this](const std::vector<double>& a,
-                            const std::vector<double>& b) {
-        bool strict = false;
-        for (std::size_t k = 0; k < dims_; ++k) {
-            if (a[k] > b[k])
-                return false;
-            if (a[k] < b[k])
-                strict = true;
-        }
-        return strict;
-    };
-    Insertion out;
-    for (const Member& m : members_) {
-        if (dominates(m.row, row))
-            return out;
-    }
-    std::size_t w = 0;
-    for (std::size_t r = 0; r < members_.size(); ++r) {
-        if (dominates(row, members_[r].row)) {
-            out.evicted.push_back(members_[r].index);
-            continue;
-        }
-        if (w != r) // self-move would empty the row
-            members_[w] = std::move(members_[r]);
-        ++w;
-    }
-    members_.resize(w);
-    members_.push_back({index, row});
-    out.added = true;
-    return out;
-}
-
-std::vector<std::size_t>
-ParetoFront::indices() const
-{
-    std::vector<std::size_t> out;
-    out.reserve(members_.size());
-    for (const Member& m : members_)
-        out.push_back(m.index);
-    std::sort(out.begin(), out.end());
-    return out;
 }
 
 std::vector<std::size_t>

@@ -4,8 +4,8 @@
 #include <atomic>
 #include <cmath>
 #include <future>
-#include <limits>
 #include <cstdio>
+#include <map>
 #include <mutex>
 #include <sstream>
 #include <unordered_map>
@@ -14,6 +14,7 @@
 #include "cimloop/common/error.hh"
 #include "cimloop/common/log.hh"
 #include "cimloop/common/parallel.hh"
+#include "cimloop/common/pareto.hh"
 #include "cimloop/common/request_context.hh"
 #include "cimloop/common/util.hh"
 #include "cimloop/faults/faults.hh"
@@ -575,7 +576,8 @@ struct ShardCounts
  * its own stream, Rng::forStream(seed, shard), evaluates each sample,
  * and hands every valid one to visit(mapping, evaluation) in draw order.
  * searchMappings and paretoFrontier both sample here, so for one seed
- * the frontier explores exactly the sample set the search ranks.
+ * and one layout the frontier explores exactly the sample set the
+ * search ranks.
  *
  * Every sample is drawn into the same Mapping and evaluated into the
  * same scratch, and the mapper's check is the only one it passes: the
@@ -949,6 +951,9 @@ std::vector<ParetoPoint>
 paretoFrontier(const Arch& arch, const workload::Layer& layer,
                int num_mappings, std::uint64_t seed)
 {
+    if (arch.layoutSearch)
+        CIM_FATAL("paretoFrontier: arch '", arch.name, "' sets "
+                  "layoutSearch; the frontier ranks one layout's samples");
     std::shared_ptr<const PerActionTable> table =
         cachedPrecompute(arch, layer);
     const mapping::Mapper mapper(arch.hierarchy, table->extLayer,
@@ -957,9 +962,19 @@ paretoFrontier(const Arch& arch, const workload::Layer& layer,
         layout::resolveLayout(arch.hierarchy, arch.layout);
     const layout::ResolvedLayout* layout = resolved.any ? &resolved : nullptr;
 
-    std::vector<ParetoPoint> points;
-    auto keep = [&](const mapping::Mapping& m, const Evaluation& ev) {
-        points.push_back({m, ev});
+    // Valid samples are numbered in draw order (greedy, then shards
+    // ascending); only current front members keep their mapping.
+    ParetoFront front(2);
+    std::map<std::size_t, ParetoPoint> members;
+    std::size_t sample = 0;
+    auto offer = [&](const mapping::Mapping& m, const Evaluation& ev) {
+        const ParetoFront::Insertion ins =
+            front.insert(sample, {ev.energyPj, ev.latencyNs});
+        for (std::size_t evicted : ins.evicted)
+            members.erase(evicted);
+        if (ins.added)
+            members.emplace(sample, ParetoPoint{m, ev});
+        ++sample;
     };
     const mapping::Mapping greedy = mapper.greedy();
     mapping::NestResult nest;
@@ -967,30 +982,24 @@ paretoFrontier(const Arch& arch, const workload::Layer& layer,
     evaluateChecked(arch, *table, mapper.plan(), greedy, layout, nest,
                     greedy_ev);
     if (greedy_ev.valid)
-        keep(greedy, greedy_ev);
+        offer(greedy, greedy_ev);
     for (int shard = 0; shard < searchShards(num_mappings); ++shard) {
         sampleShard(arch, *table, mapper, seed, shard, num_mappings, layout,
-                    nullptr, keep);
+                    nullptr, offer);
     }
-    if (points.empty())
+    if (members.empty())
         CIM_FATAL("no valid mapping found for layer '", layer.name,
                   "' on arch '", arch.name, "'");
 
-    std::sort(points.begin(), points.end(),
-              [](const ParetoPoint& a, const ParetoPoint& b) {
-                  if (a.eval.energyPj != b.eval.energyPj)
-                      return a.eval.energyPj < b.eval.energyPj;
-                  return a.eval.latencyNs < b.eval.latencyNs;
-              });
-    // Sweep in energy order keeping strict latency improvements.
+    // Members with equal energy are exact ties (else one would dominate
+    // the other); visiting members in sample order keeps the earliest.
+    std::map<double, ParetoPoint> by_energy;
+    for (auto& [index, point] : members)
+        by_energy.try_emplace(point.eval.energyPj, std::move(point));
     std::vector<ParetoPoint> frontier;
-    double best_latency = std::numeric_limits<double>::infinity();
-    for (ParetoPoint& p : points) {
-        if (p.eval.latencyNs < best_latency) {
-            best_latency = p.eval.latencyNs;
-            frontier.push_back(std::move(p));
-        }
-    }
+    frontier.reserve(by_energy.size());
+    for (auto& [energy, point] : by_energy)
+        frontier.push_back(std::move(point));
     return frontier;
 }
 

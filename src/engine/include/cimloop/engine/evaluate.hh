@@ -352,7 +352,11 @@ struct ParetoPoint
  * sample set searchMappings() ranks for the same seed — and returns the
  * energy/latency Pareto frontier, sorted by ascending energy (therefore
  * descending latency). Design-space explorations use this to expose the
- * trade space rather than a single optimum.
+ * trade space rather than a single optimum. Samples stream through
+ * ParetoFront, so memory is bounded by the front; of exact (energy,
+ * latency) ties the earliest in searchMappings' (greedy, shard, sample)
+ * order is reported. Fatal with arch.layoutSearch, whose co-search
+ * ranks several layouts' sample sets.
  */
 std::vector<ParetoPoint> paretoFrontier(const Arch& arch,
                                         const workload::Layer& layer,

@@ -43,12 +43,9 @@ struct RefSimConfig
     int weightBits = 8;
     int dacBits = 1;   //!< input slice width
     int cellBits = 1;  //!< weight bits per cell
-    int adcBits = 5;
+    int adcBits = 5;   //!< value-aware SAR: small codes convert cheaper
 
     double technologyNm = 40.0;
-
-    /** ADC spends less on small codes (nonlinear in the column sum). */
-    bool valueAwareAdc = true;
 
     /**
      * Macro-C-style analog accumulation (paper Fig. 3): column partial

@@ -33,8 +33,6 @@ struct Physics
 {
     double e65;         //!< tech energy scale relative to 65 nm
     int dacBits;
-    int adcBits;
-    bool valueAwareAdc;
 
     // DAC (capacitive, value-proportional).
     static constexpr double kDacUnitFj = 3.0;
@@ -62,8 +60,7 @@ struct Physics
 
     explicit Physics(const RefSimConfig& c)
         : e65(models::energyScale(65.0, c.technologyNm)),
-          dacBits(c.dacBits), adcBits(c.adcBits),
-          valueAwareAdc(c.valueAwareAdc),
+          dacBits(c.dacBits),
           dacLevels(std::pow(2.0, c.dacBits) - 1.0),
           adcConvertPj(kAdcFomFj * std::pow(2.0, c.adcBits) / 1000.0 *
                        models::energyScale(65.0, c.technologyNm))
@@ -77,15 +74,6 @@ struct Physics
                 kDacBaseFjPerBit * dacBits) / 1000.0 * e65;
     }
 
-    /** One cell read: conductance level g_norm, input level x_norm. */
-    double
-    cellPj(double g_norm, double x_norm) const
-    {
-        double g_us = kGOffUs + (kGOnUs - kGOffUs) * g_norm;
-        double v2 = kVRead * kVRead * x_norm * x_norm;
-        return g_us * v2 * kTReadNs / 1000.0; // uS * V^2 * ns = fJ
-    }
-
     /** Cell energy of one input slice over a row tile: its x^2 row sum
      *  @p sum_x2 and its sum of x^2 * g_norm, @p dot_e (exact). */
     static double
@@ -96,20 +84,18 @@ struct Physics
                kTReadNs / 1000.0;
     }
 
-    /** One ADC convert of a normalized column sum in [0, 1]. */
+    /**
+     * One ADC convert of a normalized column sum in [0, 1]. Value-aware
+     * SAR: the resolved-bit count grows ~sqrt-like with the code, so the
+     * energy transfer is concave — which is why the *spread* of the
+     * column-sum distribution (and thus the independence assumption)
+     * matters, not just its mean.
+     */
     double
     adcPj(double sum_norm) const
     {
-        double e = adcConvertPj;
-        if (valueAwareAdc) {
-            // Value-aware SAR: resolved-bit count grows ~sqrt-like with
-            // the code, so the energy transfer is concave — which is why
-            // the *spread* of the column-sum distribution (and thus the
-            // independence assumption) matters, not just its mean.
-            e *= 0.3 + 0.7 * std::min(1.0,
-                                      std::sqrt(2.0 * std::abs(sum_norm)));
-        }
-        return e;
+        return adcConvertPj *
+            (0.3 + 0.7 * std::min(1.0, std::sqrt(2.0 * std::abs(sum_norm))));
     }
 
     double
@@ -882,108 +868,8 @@ simulateValueLevel(const RefSimConfig& config, const Layer& layer,
     return res;
 }
 
-namespace {
-
-/** Per-action energies from marginal PMFs (the statistical model). */
-struct StatEnergies
-{
-    double dac_pj;
-    double cell_pj;
-    double adc_pj;
-    double digital_pj;
-    double buffer_word_pj;
-
-    StatEnergies(const RefSimConfig& config, const LayerShape& shape,
-                 const dist::OperandProfile& profile)
-    {
-        Physics phys(config);
-
-        // Inputs: offset-encode, slice, take the slice mixture.
-        EncodedTensor in_full = dist::encodeOperands(
-            profile.inputs, dist::Encoding::Offset, config.inputBits);
-        double exf = in_full.meanNormValue();
-        double exf2 = in_full.meanNormSquare();
-        std::vector<EncodedTensor> in_slices =
-            in_full.slices(config.dacBits);
-        double e_dac = 0.0, ex = 0.0, ex2 = 0.0;
-        for (const EncodedTensor& s : in_slices) {
-            double mc = s.maxCode();
-            e_dac += s.codes.expectation([&](double code) {
-                return phys.dacPj(mc > 0 ? code / mc : 0.0);
-            });
-            ex += s.meanNormValue();
-            ex2 += s.meanNormSquare();
-        }
-        double n_slices = static_cast<double>(in_slices.size());
-        dac_pj = e_dac / n_slices;
-        ex /= n_slices;
-        ex2 /= n_slices;
-
-        // Weights: offset-encode, slice at the cell width. Device faults
-        // perturb each slice's level PMF the same way the value-level
-        // simulator perturbs cells: stuck-at mass moves to the 0 / full
-        // atoms and surviving levels get the mean-preserving two-point
-        // variance inflation, whose first two moments exactly match the
-        // injected lognormal variation.
-        EncodedTensor wt_full = dist::encodeOperands(
-            profile.weights, dist::Encoding::Offset, config.weightBits);
-        std::vector<EncodedTensor> wt_slices =
-            wt_full.slices(config.cellBits);
-        double eg = 0.0, eg2 = 0.0;
-        for (EncodedTensor& s : wt_slices) {
-            if (config.faults.cellFaultsEnabled()) {
-                s.codes = faults::perturbedCellLevels(config.faults,
-                                                      s.codes, s.maxCode());
-            }
-            eg += s.meanNormValue();
-            eg2 += s.meanNormSquare();
-        }
-        double n_wslices = static_cast<double>(wt_slices.size());
-        eg /= n_wslices;
-        eg2 /= n_wslices;
-
-        // Cell: E[(g_off + gd*g) * v^2 * x^2] = independence-exact.
-        double v2 = Physics::kVRead * Physics::kVRead;
-        cell_pj = (Physics::kGOffUs * ex2 +
-                   (Physics::kGOnUs - Physics::kGOffUs) * eg * ex2) *
-                  v2 * Physics::kTReadNs / 1000.0;
-
-        // ADC: the column sum of `rows` INDEPENDENT x*g terms (this is
-        // the paper's independence approximation; the ground truth has
-        // correlated terms). CLT Gaussian for E[f(sum / rows)]. Under
-        // Macro-C accumulation the converted value integrates all input
-        // bits, so the FULL-precision input moments apply.
-        double rows = static_cast<double>(
-            std::min<std::int64_t>(config.rows, shape.c_total));
-        double mu1 = (config.accumulateAcrossInputBits ? exf : ex) * eg;
-        double var1 = (config.accumulateAcrossInputBits ? exf2 : ex2) *
-                          eg2 -
-                      mu1 * mu1;
-        // ADC faults shift the readout mean by the offset and widen it by
-        // the per-convert noise variance (the value-level path draws both
-        // per convert). The quantization window widens with them so no
-        // perturbed mass clamps to the window ends.
-        double mu = mu1 + config.faults.adcOffset;
-        double sigma = std::sqrt(
-            std::max(var1, 1e-12) / rows +
-            config.faults.adcNoiseSigma * config.faults.adcNoiseSigma);
-        std::int64_t window_lo = -100, window_hi = 1100;
-        if (config.faults.adcFaultsEnabled()) {
-            window_lo = -1100;
-            window_hi = 2100;
-        }
-        Pmf sum_pmf = Pmf::quantizedGaussian(mu * 1000.0, sigma * 1000.0,
-                                             window_lo, window_hi);
-        adc_pj = sum_pmf.expectation(
-            [&](double milli) { return phys.adcPj(milli / 1000.0); });
-
-        digital_pj = phys.shiftAddPj();
-        buffer_word_pj = phys.bufferPjPerWord();
-    }
-};
-
 RefSimResult
-estimateFromProfile(const RefSimConfig& config, const Layer& layer,
+estimateStatistical(const RefSimConfig& config, const Layer& layer,
                     const dist::OperandProfile& profile)
 {
     CIM_SPAN("refsim.estimate_statistical");
@@ -993,35 +879,104 @@ estimateFromProfile(const RefSimConfig& config, const Layer& layer,
     config.faults.validate();
     LayerShape shape(config, layer);
     ActionCounts counts(shape, config.accumulateAcrossInputBits);
-    StatEnergies e(config, shape, profile);
+
+    // Per-action energies from the marginal PMFs.
+    const Physics phys(config);
+
+    // Inputs: offset-encode, slice, take the slice mixture.
+    EncodedTensor in_full = dist::encodeOperands(
+        profile.inputs, dist::Encoding::Offset, config.inputBits);
+    double exf = in_full.meanNormValue();
+    double exf2 = in_full.meanNormSquare();
+    std::vector<EncodedTensor> in_slices = in_full.slices(config.dacBits);
+    double e_dac = 0.0, ex = 0.0, ex2 = 0.0;
+    for (const EncodedTensor& s : in_slices) {
+        double mc = s.maxCode();
+        e_dac += s.codes.expectation([&](double code) {
+            return phys.dacPj(mc > 0 ? code / mc : 0.0);
+        });
+        ex += s.meanNormValue();
+        ex2 += s.meanNormSquare();
+    }
+    double n_slices = static_cast<double>(in_slices.size());
+    double dac_pj = e_dac / n_slices;
+    ex /= n_slices;
+    ex2 /= n_slices;
+
+    // Weights: offset-encode, slice at the cell width. Device faults
+    // perturb each slice's level PMF the same way the value-level
+    // simulator perturbs cells: stuck-at mass moves to the 0 / full
+    // atoms and surviving levels get the mean-preserving two-point
+    // variance inflation, whose first two moments exactly match the
+    // injected lognormal variation.
+    EncodedTensor wt_full = dist::encodeOperands(
+        profile.weights, dist::Encoding::Offset, config.weightBits);
+    std::vector<EncodedTensor> wt_slices = wt_full.slices(config.cellBits);
+    double eg = 0.0, eg2 = 0.0;
+    for (EncodedTensor& s : wt_slices) {
+        if (config.faults.cellFaultsEnabled()) {
+            s.codes = faults::perturbedCellLevels(config.faults, s.codes,
+                                                  s.maxCode());
+        }
+        eg += s.meanNormValue();
+        eg2 += s.meanNormSquare();
+    }
+    double n_wslices = static_cast<double>(wt_slices.size());
+    eg /= n_wslices;
+    eg2 /= n_wslices;
+
+    // Cell: E[(g_off + gd*g) * v^2 * x^2] = independence-exact.
+    double v2 = Physics::kVRead * Physics::kVRead;
+    double cell_pj = (Physics::kGOffUs * ex2 +
+                      (Physics::kGOnUs - Physics::kGOffUs) * eg * ex2) *
+                     v2 * Physics::kTReadNs / 1000.0;
+
+    // ADC: the column sum of `rows` INDEPENDENT x*g terms (this is
+    // the paper's independence approximation; the ground truth has
+    // correlated terms). CLT Gaussian for E[f(sum / rows)]. Under
+    // Macro-C accumulation the converted value integrates all input
+    // bits, so the FULL-precision input moments apply.
+    double rows = static_cast<double>(
+        std::min<std::int64_t>(config.rows, shape.c_total));
+    double mu1 = (config.accumulateAcrossInputBits ? exf : ex) * eg;
+    double var1 =
+        (config.accumulateAcrossInputBits ? exf2 : ex2) * eg2 - mu1 * mu1;
+    // ADC faults shift the readout mean by the offset and widen it by
+    // the per-convert noise variance (the value-level path draws both
+    // per convert). The quantization window widens with them so no
+    // perturbed mass clamps to the window ends.
+    double mu = mu1 + config.faults.adcOffset;
+    double sigma = std::sqrt(
+        std::max(var1, 1e-12) / rows +
+        config.faults.adcNoiseSigma * config.faults.adcNoiseSigma);
+    std::int64_t window_lo = -100, window_hi = 1100;
+    if (config.faults.adcFaultsEnabled()) {
+        window_lo = -1100;
+        window_hi = 2100;
+    }
+    Pmf sum_pmf = Pmf::quantizedGaussian(mu * 1000.0, sigma * 1000.0,
+                                         window_lo, window_hi);
+    double adc_pj = sum_pmf.expectation(
+        [&](double milli) { return phys.adcPj(milli / 1000.0); });
 
     RefSimResult res;
-    res.dacPj = counts.dac * e.dac_pj;
-    res.cellPj = counts.cells * e.cell_pj;
-    res.adcPj = counts.adc * e.adc_pj;
-    res.digitalPj = counts.digital * e.digital_pj;
+    res.dacPj = counts.dac * dac_pj;
+    res.cellPj = counts.cells * cell_pj;
+    res.adcPj = counts.adc * adc_pj;
+    res.digitalPj = counts.digital * phys.shiftAddPj();
     res.bufferPj =
-        (counts.buffer_reads + counts.buffer_writes) * e.buffer_word_pj /
-        8.0;
+        (counts.buffer_reads + counts.buffer_writes) *
+        phys.bufferPjPerWord() / 8.0;
     res.ops = counts.cells;
     res.valuesSimulated = 0;
     return res;
-}
-
-} // namespace
-
-RefSimResult
-estimateStatistical(const RefSimConfig& config, const Layer& layer,
-                    const dist::OperandProfile& profile)
-{
-    return estimateFromProfile(config, layer, profile);
 }
 
 RefSimResult
 estimateFixedEnergy(const RefSimConfig& config, const Layer& layer,
                     const dist::OperandProfile& network_avg)
 {
-    return estimateFromProfile(config, layer, network_avg);
+    return estimateStatistical(config, layer, network_avg);
 }
 
 dist::OperandProfile
