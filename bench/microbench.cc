@@ -229,34 +229,6 @@ BM_DivisorsOfUncached(benchmark::State& state)
 BENCHMARK(BM_DivisorsOfUncached);
 
 void
-BM_PmfConvolveLattice(benchmark::State& state)
-{
-    // Integer support on both sides: takes the dense lattice kernel.
-    dist::Pmf a = dist::Pmf::quantizedGaussian(0.0, 40.0, -128, 127);
-    dist::Pmf b = dist::Pmf::quantizedGaussian(0.0, 40.0, -128, 127);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(a.convolveWith(b));
-    }
-}
-BENCHMARK(BM_PmfConvolveLattice);
-
-void
-BM_PmfConvolvePointList(benchmark::State& state)
-{
-    // A fractional shift pushes the support off the integer lattice and
-    // forces the sort-merge fallback; the ratio against
-    // BM_PmfConvolveLattice is the fast path's speedup.
-    dist::Pmf a = dist::Pmf::quantizedGaussian(0.0, 40.0, -128, 127)
-                      .mapped([](double v) { return v + 0.1; });
-    dist::Pmf b = dist::Pmf::quantizedGaussian(0.0, 40.0, -128, 127)
-                      .mapped([](double v) { return v + 0.1; });
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(a.convolveWith(b));
-    }
-}
-BENCHMARK(BM_PmfConvolvePointList);
-
-void
 BM_PmfSliceMixture(benchmark::State& state)
 {
     // precompute()'s per-layer representation step: the average-slice
@@ -269,71 +241,6 @@ BM_PmfSliceMixture(benchmark::State& state)
     }
 }
 BENCHMARK(BM_PmfSliceMixture);
-
-void
-BM_RefsimGnormWalk(benchmark::State& state)
-{
-    // The paired refsim kernel in isolation: per-(k, wb) dotPair over a
-    // 512-row tile, one input slice at a time.
-    constexpr std::size_t kRows = 512;
-    constexpr std::size_t kCols = 128; // k_total * wb rows of g_norm
-    std::vector<double> xs(kRows), xs2(kRows), g(kCols * kRows);
-    Rng rng(7);
-    for (std::size_t i = 0; i < kRows; ++i) {
-        xs[i] = rng.uniform();
-        xs2[i] = xs[i] * xs[i];
-    }
-    for (double& v : g)
-        v = rng.uniform();
-    for (auto _ : state) {
-        double total = 0.0;
-        for (std::size_t k = 0; k < kCols; ++k) {
-            double s = 0.0, e = 0.0;
-            dist::dotPair(xs.data(), xs2.data(), &g[k * kRows], kRows, s,
-                          e);
-            total += s + e;
-        }
-        benchmark::DoNotOptimize(total);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(kRows * kCols));
-}
-BENCHMARK(BM_RefsimGnormWalk);
-
-void
-BM_RefsimGnormWalkNaive(benchmark::State& state)
-{
-    // The same walk with a serial dependent-chain accumulator per dot,
-    // which cannot vectorize without reassociation. The ratio against
-    // BM_RefsimGnormWalk is what the four-accumulator association buys.
-    constexpr std::size_t kRows = 512;
-    constexpr std::size_t kCols = 128;
-    std::vector<double> xs(kRows), xs2(kRows), g(kCols * kRows);
-    Rng rng(7);
-    for (std::size_t i = 0; i < kRows; ++i) {
-        xs[i] = rng.uniform();
-        xs2[i] = xs[i] * xs[i];
-    }
-    for (double& v : g)
-        v = rng.uniform();
-    for (auto _ : state) {
-        double total = 0.0;
-        for (std::size_t k = 0; k < kCols; ++k) {
-            const double* gr = &g[k * kRows];
-            double s = 0.0, e = 0.0;
-            for (std::size_t c = 0; c < kRows; ++c) {
-                s += xs[c] * gr[c];
-                e += xs2[c] * gr[c];
-            }
-            benchmark::DoNotOptimize(s);
-            total += s + e;
-        }
-        benchmark::DoNotOptimize(total);
-    }
-    state.SetItemsProcessed(state.iterations() *
-                            static_cast<std::int64_t>(kRows * kCols));
-}
-BENCHMARK(BM_RefsimGnormWalkNaive);
 
 void
 BM_RefsimTileWalk(benchmark::State& state)

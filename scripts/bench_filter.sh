@@ -4,7 +4,7 @@
 # walk and its bit-plane form included), the search inner loop (mapper
 # sample, nest analysis, evaluate, whole searches), and the
 # obs/dse/layout benches. Override per run with FILTER.
-BENCH_DEFAULT_FILTER="Convolve|Precompute|RefSim|Gnorm|TileWalk|BitWalk|SliceMixture|Evaluate|Fault|Obs|Dse|BankConflict|CoSearch|Search|MapperSample|NestAnalysis"
+BENCH_DEFAULT_FILTER="Precompute|RefSim|TileWalk|BitWalk|SliceMixture|Evaluate|Fault|Obs|Dse|BankConflict|CoSearch|Search|MapperSample|NestAnalysis"
 
 # Runs per benchmark. The snapshot records, and the gate compares, the
 # median aggregate over them, which one outlying run cannot move.

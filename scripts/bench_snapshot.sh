@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Records a dated microbenchmark snapshot (BENCH_<date>.json) so perf
-# changes to the hot kernels (Pmf convolution, precompute, refsim, the
+# changes to the hot kernels (Pmf mixtures, precompute, refsim, the
 # mapping search) are visible in review diffs — and enforced by scripts/bench_compare.sh.
 # Run from anywhere; builds the bench target if needed. Override the
 # build tree with BUILD_DIR (default: build).

@@ -34,9 +34,6 @@ class Pmf
     /** Point mass at @p v. */
     static Pmf delta(double v);
 
-    /** Uniform over the integers lo..hi inclusive. */
-    static Pmf uniformInt(std::int64_t lo, std::int64_t hi);
-
     /**
      * Builds from (value, weight) pairs; merges duplicates, normalizes.
      * When every value lies on the integer lattice (the common case —
@@ -55,9 +52,6 @@ class Pmf
      */
     static Pmf fromCounts(std::int64_t lo,
                           const std::vector<std::int64_t>& counts);
-
-    /** Empirical PMF of a sample vector. */
-    static Pmf fromSamples(const std::vector<double>& samples);
 
     /**
      * Gaussian N(mean, sigma^2) quantized to the integers lo..hi (values
@@ -98,22 +92,11 @@ class Pmf
     /** P(X == v) with exact match on the stored double. */
     double probOf(double v) const;
 
-    /** Smallest / largest support value; fatal when empty. */
+    /** Smallest support value; fatal when empty. */
     double minValue() const;
-    double maxValue() const;
 
     /** Applies f to every support value, merging collisions. */
     Pmf mapped(const std::function<double(double)>& f) const;
-
-    /**
-     * PMF of X + Y for independent X, Y (discrete convolution). When both
-     * supports lie on the integer lattice, the product runs as contiguous
-     * multiply-adds over a flat probability array (no sort/merge); other
-     * supports fall back to the point-pair expansion. Support is capped
-     * at @p max_points by merging nearest neighbors by value gap,
-     * probability-weighted so the mean is preserved exactly.
-     */
-    Pmf convolveWith(const Pmf& other, std::size_t max_points = 4096) const;
 
     /** Mixture: this with weight w, other with weight (1-w). */
     Pmf mixedWith(const Pmf& other, double w) const;
@@ -128,14 +111,10 @@ class Pmf
     /** Rescales probabilities to sum to 1; fatal when total is 0. */
     void normalize();
 
-    /** Draws one sample using @p u uniform in [0, 1). */
-    double sample(double u) const;
-
   private:
     std::vector<Point> points_;
 
     void sortMerge();
-    void downsample(std::size_t max_points);
 };
 
 } // namespace cimloop::dist

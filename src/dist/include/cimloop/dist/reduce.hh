@@ -24,25 +24,20 @@ namespace cimloop::dist {
 /** Sum of x[0..n). */
 double sum(const double* x, std::size_t n);
 
-/** Dot product of x[0..n) and g[0..n). */
-double dot(const double* x, const double* g, std::size_t n);
-
-/** s = dot(x, g), e = dot(x2, g) in one pass over g. */
-void dotPair(const double* x, const double* x2, const double* g,
-             std::size_t n, double& s, double& e);
-
 /**
- * Multi-row dot: out[r] = dot(x + r * stride, g, n) for r in [0, m), in
- * one pass over g. Each row keeps dot()'s association exactly, so every
- * output equals the single-row call bit for bit; dot() is the m = 1
- * case. The value-level walk runs one vector's input slices against a
- * conductance row with it.
+ * Multi-row dot product: out[r] is the dot product of
+ * (x + r * stride)[0..n) and g[0..n), for r in [0, m), in one pass over
+ * g. Every row keeps the four-accumulator association above, whatever
+ * m is and wherever the row falls in a register block. The value-level
+ * walk runs one vector's input slices against a conductance row with
+ * it.
  */
 void dotRows(const double* x, std::size_t stride, std::size_t m,
              const double* g, std::size_t n, double* out);
 
-/** Paired multi-row dot: s[r] = dot(x_r, g), e[r] = dot(x2_r, g), the
- *  rows of x and x2 both at @p stride; dotPair() is the m = 1 case. */
+/** Paired multi-row dot product: s[r] over the rows of x and e[r] over
+ *  the rows of x2 (both at @p stride) against the same g, each as
+ *  dotRows computes it. */
 void dotPairRows(const double* x, const double* x2, std::size_t stride,
                  std::size_t m, const double* g, std::size_t n, double* s,
                  double* e);
@@ -50,11 +45,11 @@ void dotPairRows(const double* x, const double* x2, std::size_t stride,
 /**
  * Multi-row AND-count over packed bits: out[r] is the number of bits set
  * in both (x + r * stride)[0..n) and g[0..n), for r in [0, m). On levels
- * that are exactly 0.0 or 1.0 this is dot() of the unpacked rows: every
- * partial sum is an integer, so it is exact in any association. The
- * value-level walk runs one vector's 1-bit input slices against a plane
- * of 1-bit cells with it. The count is an inline SWAR one; without a
- * -march flag, std::popcount is a library call per word.
+ * that are exactly 0.0 or 1.0 this is dotRows of the unpacked rows:
+ * every partial sum is an integer, so it is exact in any association.
+ * The value-level walk runs one vector's 1-bit input slices against a
+ * plane of 1-bit cells with it. The count is an inline SWAR one; without
+ * a -march flag, std::popcount is a library call per word.
  */
 void andCountRows(const std::uint64_t* x, std::size_t stride,
                   std::size_t m, const std::uint64_t* g, std::size_t n,

@@ -119,18 +119,6 @@ Pmf::delta(double v)
 }
 
 Pmf
-Pmf::uniformInt(std::int64_t lo, std::int64_t hi)
-{
-    CIM_ASSERT(hi >= lo, "uniformInt requires hi >= lo");
-    Pmf p;
-    double prob = 1.0 / static_cast<double>(hi - lo + 1);
-    p.points_.reserve(hi - lo + 1);
-    for (std::int64_t v = lo; v <= hi; ++v)
-        p.points_.push_back({static_cast<double>(v), prob});
-    return p;
-}
-
-Pmf
 Pmf::fromPoints(std::vector<Point> pts)
 {
     Pmf p;
@@ -180,18 +168,6 @@ Pmf::fromCounts(std::int64_t lo, const std::vector<std::int64_t>& counts)
                     denseEnough(min_v, max_v, total));
     p.normalize();
     return p;
-}
-
-Pmf
-Pmf::fromSamples(const std::vector<double>& samples)
-{
-    CIM_ASSERT(!samples.empty(), "fromSamples requires samples");
-    std::vector<Point> pts;
-    pts.reserve(samples.size());
-    double w = 1.0 / static_cast<double>(samples.size());
-    for (double s : samples)
-        pts.push_back({s, w});
-    return fromPoints(std::move(pts));
 }
 
 Pmf
@@ -293,13 +269,6 @@ Pmf::minValue() const
     return points_.front().value;
 }
 
-double
-Pmf::maxValue() const
-{
-    CIM_ASSERT(!points_.empty(), "maxValue on empty PMF");
-    return points_.back().value;
-}
-
 Pmf
 Pmf::mapped(const std::function<double(double)>& f) const
 {
@@ -308,107 +277,6 @@ Pmf::mapped(const std::function<double(double)>& f) const
     for (const Point& pt : points_)
         pts.push_back({f(pt.value), pt.prob});
     return fromPoints(std::move(pts));
-}
-
-Pmf
-Pmf::convolveWith(const Pmf& other, std::size_t max_points) const
-{
-    CIM_ASSERT(!points_.empty() && !other.points_.empty(),
-               "convolveWith on empty PMF");
-#ifndef NDEBUG
-    const double exact_mean = mean() + other.mean();
-#endif
-    static obs::Counter& lattice = obs::counter("dist.pmf.convolve.lattice");
-    static obs::Counter& fallback =
-        obs::counter("dist.pmf.convolve.fallback");
-    Pmf out;
-    std::int64_t alo = 0, ahi = 0, blo = 0, bhi = 0;
-    if (latticeBounds(points_, alo, ahi) &&
-        latticeBounds(other.points_, blo, bhi) &&
-        (ahi - alo) + (bhi - blo) < kMaxLatticeSpan &&
-        denseEnough(blo, bhi, other.points_.size())) {
-        lattice.add();
-        // Dense integer-lattice kernel: densify the second operand, then
-        // each point of the first contributes one contiguous axpy over
-        // the flat array — no point-pair list, no sort/merge.
-        const std::size_t bspan = static_cast<std::size_t>(bhi - blo) + 1;
-        const std::size_t span =
-            static_cast<std::size_t>((ahi - alo) + (bhi - blo)) + 1;
-        std::vector<double> pb(bspan);
-        for (const Point& b : other.points_)
-            pb[static_cast<std::int64_t>(b.value) - blo] += b.prob;
-        std::vector<double> acc(span);
-        for (const Point& a : points_) {
-            double* dst =
-                acc.data() + (static_cast<std::int64_t>(a.value) - alo);
-            for (std::size_t j = 0; j < bspan; ++j)
-                dst[j] += a.prob * pb[j];
-        }
-        out.points_.reserve(std::min(span, max_points * 2));
-        appendLatticePoints(acc, alo + blo, out.points_);
-        out.normalize();
-    } else {
-        fallback.add();
-        std::vector<Point> pts;
-        pts.reserve(points_.size() * other.points_.size());
-        for (const Point& a : points_) {
-            for (const Point& b : other.points_) {
-                pts.push_back({a.value + b.value, a.prob * b.prob});
-            }
-        }
-        out = fromPoints(std::move(pts));
-    }
-    out.downsample(max_points);
-#ifndef NDEBUG
-    // Debug-build invariant: downsampling merges are probability-weighted,
-    // so the mean of the capped result equals the exact convolution mean.
-    CIM_ASSERT(std::abs(out.mean() - exact_mean) <=
-                   1e-9 * (1.0 + std::abs(exact_mean)),
-               "convolveWith downsampling shifted the mean");
-#endif
-    return out;
-}
-
-void
-Pmf::downsample(std::size_t max_points)
-{
-    CIM_ASSERT(max_points >= 1, "downsample needs max_points >= 1");
-    // Cap the support by merging nearest neighbors by value gap: each
-    // round merges the non-overlapping adjacent pairs whose gap is at or
-    // below the median gap, so tight clusters collapse before isolated
-    // tail points are touched. Merges are probability-weighted, which
-    // preserves the mean exactly.
-    while (points_.size() > max_points) {
-        const std::size_t n = points_.size();
-        std::vector<double> gaps(n - 1);
-        for (std::size_t i = 0; i + 1 < n; ++i)
-            gaps[i] = points_[i + 1].value - points_[i].value;
-        std::vector<double> order = gaps;
-        auto mid = order.begin() + (n - 1) / 2;
-        std::nth_element(order.begin(), mid, order.end());
-        const double threshold = *mid;
-
-        std::vector<Point> merged;
-        merged.reserve(n / 2 + 1);
-        std::size_t i = 0;
-        while (i < n) {
-            if (i + 1 < n && gaps[i] <= threshold) {
-                const Point& a = points_[i];
-                const Point& b = points_[i + 1];
-                double p = a.prob + b.prob;
-                double v = p > 0.0
-                    ? (a.value * a.prob + b.value * b.prob) / p
-                    : 0.5 * (a.value + b.value);
-                merged.push_back({v, p});
-                i += 2;
-            } else {
-                merged.push_back(points_[i]);
-                ++i;
-            }
-        }
-        CIM_ASSERT(merged.size() < n, "downsample made no progress");
-        points_ = std::move(merged);
-    }
 }
 
 Pmf
@@ -481,19 +349,6 @@ Pmf::normalize()
     // contract.
     for (Point& pt : points_)
         pt.prob /= total;
-}
-
-double
-Pmf::sample(double u) const
-{
-    CIM_ASSERT(!points_.empty(), "sample on empty PMF");
-    double acc = 0.0;
-    for (const Point& pt : points_) {
-        acc += pt.prob;
-        if (u < acc)
-            return pt.value;
-    }
-    return points_.back().value;
 }
 
 void

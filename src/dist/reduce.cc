@@ -38,9 +38,10 @@ tail(double acc, const double* x, const double* g, std::size_t j,
 }
 
 /**
- * out[r] = dot(x + r * stride, g) for the rows r in R... in one pass
- * over g. The rows expand as a pack, so every accumulator index is a
- * constant and the accumulators stay in registers at -O2 as at -O3.
+ * out[r] = the dot product of (x + r * stride)[0..n) and g[0..n) for
+ * the rows r in R..., in one pass over g. The rows expand as a pack, so
+ * every accumulator index is a constant and the accumulators stay in
+ * registers at -O2 as at -O3.
  */
 template <std::size_t... R>
 void
@@ -148,21 +149,6 @@ sum(const double* x, std::size_t n)
     for (; j < n; ++j)
         r += x[j];
     return r;
-}
-
-double
-dot(const double* x, const double* g, std::size_t n)
-{
-    double r;
-    dotBlock(kRows<1>, x, 0, g, n, &r);
-    return r;
-}
-
-void
-dotPair(const double* x, const double* x2, const double* g, std::size_t n,
-        double& s, double& e)
-{
-    dotPairBlock(kRows<1>, x, x2, 0, g, n, &s, &e);
 }
 
 void

@@ -29,7 +29,7 @@
  *    enabled, every span additionally appends a Chrome trace event.
  *
  *  - Names are dotted lowercase `module.noun.verb` (or `module.noun`),
- *    e.g. "engine.per_action_cache.hits", "dist.pmf.convolve.lattice".
+ *    e.g. "engine.per_action_cache.hits", "dist.pmf.from_points.lattice".
  */
 
 #include <atomic>

@@ -11,7 +11,7 @@
  * read, column sum, ADC convert, and digital accumulation of the base CiM
  * macro, summing exact per-value energies.
  *
- * Three estimators share the same physics:
+ * Three estimators share one set of physics constants:
  *  - simulateValueLevel(): exact, slow — the ground truth (paper's
  *    "NeuroSim" column in Fig. 6 / Table II).
  *  - estimateStatistical(): CiMLoop's model — expectation over *per-layer
@@ -20,6 +20,13 @@
  *    comes from the independence assumption on nonlinear components.
  *  - estimateFixedEnergy(): Timeloop-style non-data-value-dependent
  *    baseline using one network-average distribution for all layers.
+ *
+ * Those constants are refsim's own (`Physics` in refsim.cc), not the
+ * plug-ins users run, and they differ for the ADC: refsim prices a
+ * convert at 25 fJ * 2^b, while the AdcModel plug-in (plugins.cc) adds
+ * a 0.05 fJ * 4^b thermal term and a voltageEnergyFactor()^0.5 supply
+ * factor. ROADMAP.md's "One statistical model" item makes the
+ * estimators price actions with the plug-ins instead.
  */
 #ifndef CIMLOOP_REFSIM_REFSIM_HH
 #define CIMLOOP_REFSIM_REFSIM_HH

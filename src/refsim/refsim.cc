@@ -25,9 +25,13 @@ using workload::Layer;
 namespace {
 
 /**
- * Shared physics, mirroring the plug-in constants (src/models/plugins.cc)
- * so that the statistical model and the value-level simulator disagree
- * only through their treatment of data values.
+ * Physics shared by the three estimators here, so that the statistical
+ * model and the value-level simulator disagree only through their
+ * treatment of data values. The constants follow the plug-ins
+ * (src/models/plugins.cc) except the ADC: a convert here is
+ * kAdcFomFj * 2^b, while AdcModel adds a 0.05 fJ * 4^b thermal term and
+ * a voltageEnergyFactor()^0.5 supply factor. ROADMAP.md's "One
+ * statistical model" item replaces this copy with the plug-ins.
  */
 struct Physics
 {

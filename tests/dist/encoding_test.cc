@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cimloop/common/error.hh"
+#include "support/pmf.hh"
 
 namespace cimloop::dist {
 namespace {
@@ -19,7 +20,7 @@ TEST(Names, RoundTrip)
 
 TEST(Unsigned, IdentityCodes)
 {
-    Pmf ops = Pmf::uniformInt(0, 255);
+    Pmf ops = support::uniformInt(0, 255);
     EncodedTensor enc = encodeOperands(ops, Encoding::Unsigned, 8);
     EXPECT_EQ(enc.bits, 8);
     EXPECT_EQ(enc.planes, 1);
@@ -29,7 +30,7 @@ TEST(Unsigned, IdentityCodes)
 
 TEST(Unsigned, RejectsNegatives)
 {
-    Pmf ops = Pmf::uniformInt(-8, 8);
+    Pmf ops = support::uniformInt(-8, 8);
     EXPECT_THROW(encodeOperands(ops, Encoding::Unsigned, 8), FatalError);
 }
 
@@ -75,7 +76,7 @@ TEST(Differential, MeanLevelIsHalfMeanAbs)
 
 TEST(MagnitudeOnly, AbsoluteValues)
 {
-    Pmf ops = Pmf::uniformInt(-4, 4);
+    Pmf ops = support::uniformInt(-4, 4);
     EncodedTensor enc = encodeOperands(ops, Encoding::MagnitudeOnly, 4);
     EXPECT_EQ(enc.bits, 3);
     EXPECT_NEAR(enc.codes.mean(), ops.meanAbs(), 1e-9);
@@ -83,7 +84,7 @@ TEST(MagnitudeOnly, AbsoluteValues)
 
 TEST(Xnor, BipolarFlagSet)
 {
-    Pmf ops = Pmf::uniformInt(-2, 1);
+    Pmf ops = support::uniformInt(-2, 1);
     EncodedTensor enc = encodeOperands(ops, Encoding::Xnor, 2);
     EXPECT_TRUE(enc.bipolarBits);
     EXPECT_EQ(enc.bits, 2);
@@ -91,7 +92,7 @@ TEST(Xnor, BipolarFlagSet)
 
 TEST(BitStats, OnProbsUniform)
 {
-    Pmf ops = Pmf::uniformInt(0, 255);
+    Pmf ops = support::uniformInt(0, 255);
     EncodedTensor enc = encodeOperands(ops, Encoding::Unsigned, 8);
     for (double p : enc.bitOnProbs())
         EXPECT_NEAR(p, 0.5, 1e-9);
@@ -108,7 +109,7 @@ TEST(BitStats, ConstantCodeNeverFlips)
 
 TEST(Slicing, WidthsAndMarginals)
 {
-    Pmf ops = Pmf::uniformInt(0, 255);
+    Pmf ops = support::uniformInt(0, 255);
     EncodedTensor enc = encodeOperands(ops, Encoding::Unsigned, 8);
     auto slices = enc.slices(3); // 3 + 3 + 2 bits
     ASSERT_EQ(slices.size(), 3u);
@@ -157,7 +158,7 @@ TEST(SliceMixture, MatchesIncrementalReference)
 
 TEST(SliceMixture, SingleSlicePassesThrough)
 {
-    Pmf ops = Pmf::uniformInt(0, 255);
+    Pmf ops = support::uniformInt(0, 255);
     EncodedTensor enc = encodeOperands(ops, Encoding::Unsigned, 8);
     EncodedTensor mix = sliceMixture(enc, 8); // one slice: the full code
     EXPECT_EQ(mix.bits, 8);
@@ -189,7 +190,7 @@ TEST_P(EncodingProperty, CodesInRange)
 {
     auto [e, bits] = GetParam();
     Pmf ops = (e == Encoding::Unsigned)
-        ? Pmf::uniformInt(0, (1 << (bits - 1)) - 1)
+        ? support::uniformInt(0, (1 << (bits - 1)) - 1)
         : Pmf::quantizedGaussian(0.0, (1 << bits) / 6.0,
                                  -(1 << (bits - 1)), (1 << (bits - 1)) - 1);
     EncodedTensor enc = encodeOperands(ops, e, bits);

@@ -54,15 +54,15 @@ TEST(Profiles, WeightsZeroMeanSigned)
     OperandProfile p = synthesizeOperands("vit", 2, 7, 8, 8);
     EXPECT_NEAR(p.weights.mean(), 0.0, 2.0);
     EXPECT_LT(p.weights.minValue(), 0.0);
-    EXPECT_GT(p.weights.maxValue(), 0.0);
+    EXPECT_GT(p.weights.points().back().value, 0.0);
 }
 
 TEST(Profiles, RespectBitRanges)
 {
     OperandProfile p = synthesizeOperands("resnet18", 2, 21, 4, 6);
-    EXPECT_LE(p.inputs.maxValue(), 7.0);    // 4b signed: max +7
+    EXPECT_LE(p.inputs.points().back().value, 7.0); // 4b signed: max +7
     EXPECT_GE(p.weights.minValue(), -32.0); // 6b signed: min -32
-    EXPECT_LE(p.weights.maxValue(), 31.0);
+    EXPECT_LE(p.weights.points().back().value, 31.0);
 }
 
 TEST(Profiles, InvalidArgsFatal)
@@ -76,7 +76,7 @@ TEST(Profiles, BinaryOperandsSupported)
 {
     // 1b operands (binarized networks, paper Fig. 16 sweeps to 1 bit).
     OperandProfile p = synthesizeOperands("resnet18", 3, 21, 1, 1);
-    EXPECT_LE(p.inputs.maxValue(), 1.0);
+    EXPECT_LE(p.inputs.points().back().value, 1.0);
     EXPECT_GE(p.inputs.minValue(), 0.0);
     EXPECT_GE(p.weights.minValue(), -1.0);
     EXPECT_GT(p.inputs.probOf(1.0), 0.1);

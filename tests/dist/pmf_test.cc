@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cimloop/common/error.hh"
+#include "support/pmf.hh"
 
 namespace cimloop::dist {
 namespace {
@@ -30,8 +31,10 @@ TEST(Delta, Moments)
 
 TEST(UniformInt, Moments)
 {
-    Pmf p = Pmf::uniformInt(0, 9);
+    // The test fixture most dist tests build on (tests/support/pmf.hh).
+    Pmf p = support::uniformInt(0, 9);
     EXPECT_EQ(p.size(), 10u);
+    EXPECT_EQ(p.probOf(4.0), 1.0 / 10.0);
     EXPECT_NEAR(p.mean(), 4.5, 1e-12);
     EXPECT_NEAR(p.variance(), 8.25, 1e-12);
     EXPECT_NEAR(totalProb(p), 1.0, 1e-12);
@@ -43,13 +46,6 @@ TEST(FromPoints, MergesDuplicatesAndNormalizes)
     EXPECT_EQ(p.size(), 2u);
     EXPECT_NEAR(p.probOf(1.0), 0.5, 1e-12);
     EXPECT_NEAR(p.probOf(2.0), 0.5, 1e-12);
-}
-
-TEST(FromSamples, Empirical)
-{
-    Pmf p = Pmf::fromSamples({1, 1, 2, 4});
-    EXPECT_NEAR(p.probOf(1.0), 0.5, 1e-12);
-    EXPECT_NEAR(p.mean(), 2.0, 1e-12);
 }
 
 TEST(QuantizedGaussian, CapturesMoments)
@@ -77,7 +73,7 @@ TEST(ReluGaussian, HalfMassAtZero)
 
 TEST(Mapped, MergesCollisions)
 {
-    Pmf p = Pmf::uniformInt(-2, 2).mapped([](double v) {
+    Pmf p = support::uniformInt(-2, 2).mapped([](double v) {
         return std::abs(v);
     });
     EXPECT_NEAR(p.probOf(0.0), 0.2, 1e-12);
@@ -85,70 +81,10 @@ TEST(Mapped, MergesCollisions)
     EXPECT_NEAR(p.probOf(2.0), 0.4, 1e-12);
 }
 
-TEST(Convolve, SumOfUniformDice)
-{
-    Pmf die = Pmf::uniformInt(1, 6);
-    Pmf two = die.convolveWith(die);
-    EXPECT_NEAR(two.probOf(7.0), 6.0 / 36.0, 1e-12);
-    EXPECT_NEAR(two.probOf(2.0), 1.0 / 36.0, 1e-12);
-    EXPECT_NEAR(two.mean(), 7.0, 1e-12);
-}
-
-TEST(Convolve, MeanIsExactEvenWhenCapped)
-{
-    Pmf wide = Pmf::uniformInt(0, 999);
-    Pmf sum = wide.convolveWith(wide, 64); // heavy merging
-    // Merging is probability-weighted, so the mean is preserved.
-    EXPECT_NEAR(sum.mean(), 999.0, 1e-6);
-    EXPECT_LE(sum.size(), 64u);
-}
-
-TEST(Convolve, LatticeAndPointListPathsAgree)
-{
-    // Integer supports take the dense lattice kernel; shifting each
-    // operand by +0.25 moves the support off the lattice and forces the
-    // sort-merge fallback. Both must produce the same distribution (the
-    // fallback's support is offset by the combined shift of 0.5).
-    Pmf a = Pmf::quantizedGaussian(0.0, 25.0, -128, 127);
-    Pmf b = Pmf::quantizedGaussian(10.0, 15.0, -128, 127);
-    Pmf lattice = a.convolveWith(b, 1 << 20); // uncapped
-    Pmf fallback =
-        a.mapped([](double v) { return v + 0.25; })
-            .convolveWith(b.mapped([](double v) { return v + 0.25; }),
-                          1 << 20);
-    ASSERT_EQ(lattice.size(), fallback.size());
-    for (std::size_t i = 0; i < lattice.size(); ++i) {
-        EXPECT_NEAR(lattice.points()[i].value + 0.5,
-                    fallback.points()[i].value, 1e-9);
-        EXPECT_NEAR(lattice.points()[i].prob, fallback.points()[i].prob,
-                    1e-12);
-    }
-}
-
-TEST(Convolve, CappedMergePreservesMomentsAndTail)
-{
-    // A far outlier cluster stresses the support cap: the old blind
-    // pairwise merge would average the outlier into its distant
-    // neighbor, shifting the upper tail badly. Gap-aware merging keeps
-    // nearby points merging with each other and the outlier intact.
-    Pmf bulk = Pmf::uniformInt(0, 63);
-    Pmf spike = Pmf::fromPoints({{0.0, 0.9}, {1000.0, 0.1}});
-    Pmf sum = bulk.convolveWith(spike, 70);
-    EXPECT_LE(sum.size(), 70u);
-    double exact_mean = bulk.mean() + spike.mean();
-    double exact_var = bulk.variance() + spike.variance();
-    EXPECT_NEAR(sum.mean(), exact_mean, 1e-9 * (1.0 + exact_mean));
-    // Merging nearest neighbors only collapses sub-gap structure, so
-    // the variance moves by at most the bulk's own spread.
-    EXPECT_NEAR(sum.variance(), exact_var, 0.02 * exact_var);
-    // The outlier cluster must survive near +1000, not drift inward.
-    EXPECT_GE(sum.maxValue(), 990.0);
-}
-
 TEST(Mixture, SinglePassMatchesIncrementalChain)
 {
-    std::vector<Pmf> parts = {Pmf::uniformInt(0, 7),
-                              Pmf::uniformInt(4, 11),
+    std::vector<Pmf> parts = {support::uniformInt(0, 7),
+                              support::uniformInt(4, 11),
                               Pmf::delta(2.0),
                               Pmf::quantizedGaussian(0.0, 3.0, -16, 15)};
     Pmf single = Pmf::mixture(parts);
@@ -175,19 +111,9 @@ TEST(Mixture, Weights)
 
 TEST(Expectation, ArbitraryFunction)
 {
-    Pmf p = Pmf::uniformInt(1, 4);
+    Pmf p = support::uniformInt(1, 4);
     double e = p.expectation([](double v) { return v * v * v; });
     EXPECT_NEAR(e, (1 + 8 + 27 + 64) / 4.0, 1e-12);
-}
-
-TEST(Sample, InverseCdf)
-{
-    Pmf p = Pmf::fromPoints({{1.0, 0.5}, {2.0, 0.3}, {3.0, 0.2}});
-    EXPECT_DOUBLE_EQ(p.sample(0.0), 1.0);
-    EXPECT_DOUBLE_EQ(p.sample(0.49), 1.0);
-    EXPECT_DOUBLE_EQ(p.sample(0.51), 2.0);
-    EXPECT_DOUBLE_EQ(p.sample(0.85), 3.0);
-    EXPECT_DOUBLE_EQ(p.sample(0.999999), 3.0);
 }
 
 TEST(Errors, EmptyAndInvalid)

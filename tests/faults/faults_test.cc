@@ -11,6 +11,7 @@
 
 #include "cimloop/common/error.hh"
 #include "cimloop/yaml/parser.hh"
+#include "support/pmf.hh"
 
 namespace cimloop::faults {
 namespace {
@@ -209,7 +210,7 @@ TEST(Pmf, CellLevelsMatchLognormalMoments)
 {
     FaultModel m;
     m.conductanceSigma = 0.5;
-    Pmf levels = Pmf::uniformInt(0, 3);
+    Pmf levels = support::uniformInt(0, 3);
     Pmf out = perturbedCellLevels(m, levels, 3.0);
     // Variation alone: exact first moment, second moment * exp(sigma^2).
     EXPECT_NEAR(out.mean(), levels.mean(), 1e-12);
@@ -237,7 +238,7 @@ TEST(Pmf, CellCodesStayOnTheLattice)
     m.stuckOffRate = 0.05;
     m.stuckOnRate = 0.05;
     m.conductanceSigma = 0.6;
-    Pmf codes = Pmf::uniformInt(0, 15);
+    Pmf codes = support::uniformInt(0, 15);
     Pmf out = perturbedCellCodes(m, codes, 15.0);
     double total = 0.0;
     for (const Pmf::Point& pt : out.points()) {
@@ -253,7 +254,7 @@ TEST(Pmf, AdcCodesShiftAndSpread)
 {
     FaultModel m;
     m.adcOffset = 0.25;
-    Pmf codes = Pmf::uniformInt(4, 12);
+    Pmf codes = support::uniformInt(4, 12);
     Pmf shifted = perturbedAdcCodes(m, codes, 16.0);
     // Pure offset: every code moves by offset * max_code = 4.
     EXPECT_NEAR(shifted.mean(), codes.mean() + 4.0, 1e-12);

@@ -13,6 +13,7 @@
 
 #include "cimloop/dist/operands.hh"
 #include "cimloop/workload/networks.hh"
+#include "support/pmf.hh"
 
 namespace cimloop::refsim {
 namespace {
@@ -37,9 +38,9 @@ TEST(Fidelity, ErrorShrinksWithDistributionQuality)
 
         // Low fidelity: uniform guesses over the representable ranges.
         dist::OperandProfile low;
-        low.inputs = dist::Pmf::uniformInt(0, 127);
-        low.weights = dist::Pmf::uniformInt(-128, 127);
-        low.outputs = dist::Pmf::uniformInt(-128, 127);
+        low.inputs = support::uniformInt(0, 127);
+        low.weights = support::uniformInt(-128, 127);
+        low.outputs = support::uniformInt(-128, 127);
 
         // Moderate fidelity: the closed-form synthetic profile.
         dist::OperandProfile mid = dist::synthesizeOperands(

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "regress_util.hh"
+#include "support/scratch.hh"
 
 namespace cimloop::regress {
 namespace {
@@ -33,7 +34,7 @@ std::string
 sweepSpecPath()
 {
     static const std::string path = [] {
-        const std::string p = "/tmp/cimloop_det_sweep.yaml";
+        const std::string p = support::scratchPath("det_sweep.yaml");
         std::ofstream out(p);
         out << "sweep:\n"
                "  name: det\n"
@@ -55,7 +56,7 @@ std::string
 layoutSpecPath()
 {
     static const std::string path = [] {
-        const std::string p = "/tmp/cimloop_det_layout.yaml";
+        const std::string p = support::scratchPath("det_layout.yaml");
         std::ofstream out(p);
         out << "layout:\n"
                "  name: banked4\n"

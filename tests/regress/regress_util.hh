@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "cimloop/cli/cli.hh"
+#include "support/scratch.hh"
 
 namespace cimloop::regress {
 
@@ -75,12 +76,14 @@ parseCounters(const std::string& block)
 /**
  * Runs cli::run(args + --metrics=<temp file>) and returns the exit
  * code, captured streams, and the extracted counters block. The temp
- * file is tagged to stay collision-free across tests in one binary.
+ * file lives in the process's own scratch directory and is tagged to
+ * stay collision-free across tests in one binary.
  */
 inline CliRun
 runCliWithMetrics(std::vector<std::string> args, const std::string& tag)
 {
-    const std::string path = "/tmp/cimloop_metrics_" + tag + ".json";
+    const std::string path =
+        support::scratchPath("metrics_" + tag + ".json");
     args.push_back("--metrics=" + path);
     std::ostringstream out, err;
     CliRun r;

@@ -12,10 +12,10 @@ COMPARE="${REPO_ROOT}/scripts/bench_compare.sh"
 TMP="$(mktemp -d)"
 trap 'rm -rf "${TMP}"' EXIT
 
-# Minimal google-benchmark-shaped snapshots. BM_PmfConvolveLattice is
+# Minimal google-benchmark-shaped snapshots. BM_RefsimBitWalk is
 # gated by the default BENCH_GATE_REGEX; BM_Ungated is context only.
 # The aggregate entry and the errored entry must both be ignored.
-write_snapshot() { # path convolve_ns ungated_ns
+write_snapshot() { # path gated_ns ungated_ns
     cat > "$1" <<EOF
 {
   "context": {
@@ -23,9 +23,9 @@ write_snapshot() { # path convolve_ns ungated_ns
     "library_build_type": "release"
   },
   "benchmarks": [
-    {"name": "BM_PmfConvolveLattice", "run_type": "iteration",
+    {"name": "BM_RefsimBitWalk", "run_type": "iteration",
      "real_time": $2, "time_unit": "ns"},
-    {"name": "BM_PmfConvolveLattice_mean", "run_type": "aggregate",
+    {"name": "BM_RefsimBitWalk_mean", "run_type": "aggregate",
      "real_time": 999999, "time_unit": "ns"},
     {"name": "BM_Broken", "run_type": "iteration",
      "error_occurred": true, "real_time": 1, "time_unit": "ns"},
@@ -67,7 +67,7 @@ BENCH_REPORT="${TMP}/report_bad.txt" \
 [ "${rc}" -eq 1 ] || fail "regression should exit 1, got ${rc}"
 grep -q 'REGRESSED' "${TMP}/report_bad.txt" ||
     fail "failing report missing REGRESSED verdict"
-grep -q 'BM_PmfConvolveLattice' "${TMP}/report_bad.txt" ||
+grep -q 'BM_RefsimBitWalk' "${TMP}/report_bad.txt" ||
     fail "failing report does not name the regressed kernel"
 
 # 3. Improvements pass, and ungated kernels never trip the gate even
@@ -109,14 +109,14 @@ write_names() { # path names...
         echo ']}'
     } > "${path}"
 }
-write_names "${TMP}/two.json" BM_PmfConvolveLattice BM_Evaluate
+write_names "${TMP}/two.json" BM_RefsimBitWalk BM_Evaluate
 write_names "${TMP}/one.json" BM_Evaluate
 rc=0
 BENCH_REPORT="${TMP}/report_missing.txt" \
     "${COMPARE}" -b "${TMP}/two.json" -c "${TMP}/one.json" \
     >/dev/null || rc=$?
 [ "${rc}" -eq 1 ] || fail "missing gated kernel should exit 1, got ${rc}"
-grep -q 'BM_PmfConvolveLattice.*MISSING' "${TMP}/report_missing.txt" ||
+grep -q 'BM_RefsimBitWalk.*MISSING' "${TMP}/report_missing.txt" ||
     fail "report does not mark the vanished gated kernel MISSING"
 # An ungated kernel may come and go freely.
 write_names "${TMP}/extra.json" BM_Evaluate BM_Ungated
@@ -133,14 +133,14 @@ write_aggregates() { # path median_ns mean_ns
 {
   "context": {"cimloop_build_type": "release"},
   "benchmarks": [
-    {"name": "BM_PmfConvolveLattice_mean", "run_name": "BM_PmfConvolveLattice",
+    {"name": "BM_RefsimBitWalk_mean", "run_name": "BM_RefsimBitWalk",
      "run_type": "aggregate", "aggregate_name": "mean",
      "real_time": $3, "time_unit": "ns"},
-    {"name": "BM_PmfConvolveLattice_median",
-     "run_name": "BM_PmfConvolveLattice", "run_type": "aggregate",
+    {"name": "BM_RefsimBitWalk_median",
+     "run_name": "BM_RefsimBitWalk", "run_type": "aggregate",
      "aggregate_name": "median", "real_time": $2, "time_unit": "ns"},
-    {"name": "BM_PmfConvolveLattice_stddev",
-     "run_name": "BM_PmfConvolveLattice", "run_type": "aggregate",
+    {"name": "BM_RefsimBitWalk_stddev",
+     "run_name": "BM_RefsimBitWalk", "run_type": "aggregate",
      "aggregate_name": "stddev", "real_time": 50, "time_unit": "ns"}
   ]
 }
@@ -152,10 +152,10 @@ write_aggregates "${TMP}/agg_slow.json" 2000 2000
 BENCH_REPORT="${TMP}/report_agg_ok.txt" \
     "${COMPARE}" -b "${TMP}/agg_base.json" -c "${TMP}/agg_outlier.json" \
     >/dev/null || fail "a median within tolerance should pass"
-grep -q 'BM_PmfConvolveLattice .* 1000.0 .* 1050.0' \
+grep -q 'BM_RefsimBitWalk .* 1000.0 .* 1050.0' \
     "${TMP}/report_agg_ok.txt" ||
     fail "report does not compare the median aggregates"
-if grep -q 'BM_PmfConvolveLattice_m' "${TMP}/report_agg_ok.txt"; then
+if grep -q 'BM_RefsimBitWalk_m' "${TMP}/report_agg_ok.txt"; then
     fail "aggregate entries must not appear as kernels of their own"
 fi
 rc=0
@@ -163,7 +163,7 @@ BENCH_REPORT="${TMP}/report_agg_bad.txt" \
     "${COMPARE}" -b "${TMP}/agg_base.json" -c "${TMP}/agg_slow.json" \
     >/dev/null || rc=$?
 [ "${rc}" -eq 1 ] || fail "a regressed median should exit 1, got ${rc}"
-grep -q 'BM_PmfConvolveLattice.*REGRESSED' "${TMP}/report_agg_bad.txt" ||
+grep -q 'BM_RefsimBitWalk.*REGRESSED' "${TMP}/report_agg_bad.txt" ||
     fail "report does not mark the regressed median"
 rc=0
 BENCH_REPORT="${TMP}/report_agg_mixed.txt" \
