@@ -1,5 +1,7 @@
 #include "cimloop/macros/macros.hh"
 
+#include <algorithm>
+#include <array>
 #include <limits>
 
 #include "cimloop/common/error.hh"
@@ -17,13 +19,6 @@ namespace {
 constexpr TensorKind kIn = TensorKind::Input;
 constexpr TensorKind kWt = TensorKind::Weight;
 constexpr TensorKind kOut = TensorKind::Output;
-
-/** Buffer capacity in elements (~8b each) from a KB capacity. */
-std::int64_t
-bufferEntries(const MacroParams& p)
-{
-    return p.bufferKb * 1024;
-}
 
 /**
  * Rejects the shared parameters no macro can be built from. They come
@@ -59,7 +54,7 @@ appendLocalBuffer(HierarchyBuilder& b, const MacroParams& p)
     checkParams(p);
     b.component("buffer", "SRAM")
         .temporalReuse({kIn, kOut})
-        .attr("entries", bufferEntries(p))
+        .attr("entries", p.bufferKb * 1024) // ~8b elements
         .attr("width", std::int64_t{64});
 }
 
@@ -136,10 +131,10 @@ appendB(HierarchyBuilder& b, const MacroParams& p)
     // The ADC digitizes the analog sum of `adderOperands` weighted
     // columns; its resolution must track that dynamic range. Anchored so
     // the published 4-operand configuration keeps its 4b ADC.
-    int adc_bits = p.adcBits +
-                   bitsForCount(std::max(p.adderOperands, 2)) -
-                   bitsForCount(4);
-    adc_bits = std::max(2, std::min(12, adc_bits));
+    const int adc_bits = std::clamp(
+        p.adcBits + bitsForCount(std::max(p.adderOperands, 2)) -
+            bitsForCount(4),
+        2, 12);
     appendLocalBuffer(b, p);
     b.container("macro")
         .component("shift_add", "ShiftAdd")
@@ -260,13 +255,50 @@ appendDigital(HierarchyBuilder& b, const MacroParams& p)
             .spatialDims({Dim::C, Dim::R, Dim::S});
 }
 
-/** Finishes an Arch around a built hierarchy. */
-engine::Arch
-wrap(const MacroParams& p, const std::string& name, spec::Hierarchy h)
+/**
+ * One buildable macro: the lower-case names it answers to, the name of
+ * the Arch it builds, its Table III defaults and its builder.
+ */
+struct MacroKind
 {
+    std::array<const char*, 2> aliases; //!< nullptr: no second alias
+    const char* archName;
+    MacroParams (*defaults)();
+    void (*append)(HierarchyBuilder&, const MacroParams&);
+};
+
+const MacroKind kMacroKinds[] = {
+    {{"base", nullptr}, "base_macro", baseDefaults, appendBase},
+    {{"a", "macro_a"}, "macro_A", macroADefaults, appendA},
+    {{"b", "macro_b"}, "macro_B", macroBDefaults, appendB},
+    {{"c", "macro_c"}, "macro_C", macroCDefaults, appendC},
+    {{"d", "macro_d"}, "macro_D", macroDDefaults, appendD},
+    {{"digital", "digital_cim"}, "digital_cim", digitalCimDefaults,
+     appendDigital},
+};
+
+/** The kind @p name names, in any case; fatal when unknown. */
+const MacroKind&
+kindByName(const std::string& name)
+{
+    const std::string n = toLower(name);
+    for (const MacroKind& kind : kMacroKinds)
+        for (const char* alias : kind.aliases)
+            if (alias != nullptr && n == alias)
+                return kind;
+    CIM_FATAL("unknown macro '", name,
+              "' (expected base, A, B, C, D, or digital)");
+}
+
+/** Builds @p kind as a complete Arch with params @p p. */
+engine::Arch
+build(const MacroKind& kind, const MacroParams& p)
+{
+    HierarchyBuilder b(kind.archName);
+    kind.append(b, p);
     engine::Arch arch;
-    arch.name = name;
-    arch.hierarchy = std::move(h);
+    arch.name = kind.archName;
+    arch.hierarchy = b.build();
     applyMacroParams(arch, p);
     return arch;
 }
@@ -323,22 +355,7 @@ void
 appendMacro(HierarchyBuilder& builder, const MacroParams& p,
             const std::string& kind)
 {
-    std::string n = toLower(kind);
-    if (n == "base")
-        appendBase(builder, p);
-    else if (n == "a" || n == "macro_a")
-        appendA(builder, p);
-    else if (n == "b" || n == "macro_b")
-        appendB(builder, p);
-    else if (n == "c" || n == "macro_c")
-        appendC(builder, p);
-    else if (n == "d" || n == "macro_d")
-        appendD(builder, p);
-    else if (n == "digital" || n == "digital_cim")
-        appendDigital(builder, p);
-    else
-        CIM_FATAL("unknown macro '", kind,
-                  "' (expected base, A, B, C, D, or digital)");
+    kindByName(kind).append(builder, p);
 }
 
 MacroParams
@@ -453,69 +470,43 @@ digitalCimDefaults()
 engine::Arch
 baseMacro(const MacroParams& p)
 {
-    HierarchyBuilder b("base_macro");
-    appendBase(b, p);
-    return wrap(p, "base_macro", b.build());
+    return build(kindByName("base"), p);
 }
 
 engine::Arch
 macroA(const MacroParams& p)
 {
-    HierarchyBuilder b("macro_A");
-    appendA(b, p);
-    return wrap(p, "macro_A", b.build());
+    return build(kindByName("a"), p);
 }
 
 engine::Arch
 macroB(const MacroParams& p)
 {
-    HierarchyBuilder b("macro_B");
-    appendB(b, p);
-    return wrap(p, "macro_B", b.build());
+    return build(kindByName("b"), p);
 }
 
 engine::Arch
 macroC(const MacroParams& p)
 {
-    HierarchyBuilder b("macro_C");
-    appendC(b, p);
-    return wrap(p, "macro_C", b.build());
+    return build(kindByName("c"), p);
 }
 
 engine::Arch
 macroD(const MacroParams& p)
 {
-    HierarchyBuilder b("macro_D");
-    appendD(b, p);
-    return wrap(p, "macro_D", b.build());
+    return build(kindByName("d"), p);
 }
 
 engine::Arch
 digitalCim(const MacroParams& p)
 {
-    HierarchyBuilder b("digital_cim");
-    appendDigital(b, p);
-    return wrap(p, "digital_cim", b.build());
+    return build(kindByName("digital"), p);
 }
 
 MacroParams
 defaultsByName(const std::string& name)
 {
-    std::string n = toLower(name);
-    if (n == "base")
-        return baseDefaults();
-    if (n == "a" || n == "macro_a")
-        return macroADefaults();
-    if (n == "b" || n == "macro_b")
-        return macroBDefaults();
-    if (n == "c" || n == "macro_c")
-        return macroCDefaults();
-    if (n == "d" || n == "macro_d")
-        return macroDDefaults();
-    if (n == "digital" || n == "digital_cim")
-        return digitalCimDefaults();
-    CIM_FATAL("unknown macro '", name,
-              "' (expected base, A, B, C, D, or digital)");
+    return kindByName(name).defaults();
 }
 
 engine::Arch
@@ -527,21 +518,7 @@ macroByName(const std::string& name)
 engine::Arch
 macroByName(const std::string& name, const MacroParams& p)
 {
-    std::string n = toLower(name);
-    if (n == "base")
-        return baseMacro(p);
-    if (n == "a" || n == "macro_a")
-        return macroA(p);
-    if (n == "b" || n == "macro_b")
-        return macroB(p);
-    if (n == "c" || n == "macro_c")
-        return macroC(p);
-    if (n == "d" || n == "macro_d")
-        return macroD(p);
-    if (n == "digital" || n == "digital_cim")
-        return digitalCim(p);
-    CIM_FATAL("unknown macro '", name,
-              "' (expected base, A, B, C, D, or digital)");
+    return build(kindByName(name), p);
 }
 
 } // namespace cimloop::macros

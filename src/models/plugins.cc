@@ -16,6 +16,7 @@
 
 #include "cimloop/common/error.hh"
 #include "cimloop/models/component.hh"
+#include "cimloop/models/physics.hh"
 
 namespace cimloop::models {
 
@@ -61,9 +62,10 @@ d65(const ComponentContext& ctx)
 
 /**
  * ADC: regression over published ADC surveys. Energy per conversion
- * follows the Walden figure-of-merit form E = FoM * 2^bits; area grows
- * with the capacitor array (~2^bits). A `value_aware` attribute enables
- * bit-level value dependence (converts of small values cost less).
+ * is physics::adcConvertFj (a Walden 2^bits term plus a thermal 4^bits
+ * term); area grows with the capacitor array (~2^bits). A `value_aware`
+ * attribute enables bit-level value dependence (converts of small values
+ * cost less, physics::sarValueFactor).
  */
 class AdcModel : public ComponentModel
 {
@@ -91,28 +93,21 @@ class AdcModel : public ComponentModel
                       " (the survey regression has no data beyond "
                       "14 bits)");
         }
-        // Survey regression: a Walden term (E ~ 2^bits) plus a
-        // thermal-noise term (E ~ 4^bits) that dominates at high
-        // resolution — the reason ADC cost stops amortizing as CiM
-        // arrays (and thus required resolutions) grow.
-        double fom_fj = ctx.attrDouble("fom_fj_per_step", 25.0);
-        double fom4_fj = ctx.attrDouble("fom_thermal_fj", 0.05);
+        const physics::AdcDefaults& dflt = physics::kAdc;
+        double fom_fj = ctx.attrDouble("fom_fj_per_step", dflt.fomFjPerStep);
+        double fom4_fj = ctx.attrDouble("fom_thermal_fj", dflt.thermalFj);
         // ADCs scale sub-quadratically with supply (comparator noise
         // floors keep the FoM from improving as fast as CV^2 logic).
         double v_scale = std::pow(ctx.voltageEnergyFactor(), 0.5);
-        double energy = (fom_fj * std::pow(2.0, bits) +
-                         fom4_fj * std::pow(4.0, bits)) /
+        double energy = physics::adcConvertFj(bits, fom_fj, fom4_fj) /
                         1000.0 * energyScale(65.0, ctx.technologyNm) *
                         v_scale;
         if (ctx.attrInt("value_aware", 0)) {
-            // Value-aware SAR terminates early on small codes; the
-            // resolved-bit count grows concavely, so the expectation runs
-            // over the full code distribution.
+            // The expectation runs over the full code distribution.
             const EncodedTensor& out = ctx.tensors[kO];
             double mc = out.maxCode();
             energy *= out.codes.expectation([mc](double code) {
-                double level = mc > 0.0 ? code / mc : 0.0;
-                return 0.3 + 0.7 * std::min(1.0, std::sqrt(2.0 * level));
+                return physics::sarValueFactor(mc > 0.0 ? code / mc : 0.0);
             });
         }
         ComponentEstimate est;
@@ -151,8 +146,10 @@ class DacModel : public ComponentModel
             CIM_FATAL("DAC attribute 'resolution' must be within "
                       "[1, 14], got ", bits);
         }
-        double e_unit_fj = ctx.attrDouble("unit_cap_energy_fj", 3.0);
-        double e_base_fj = ctx.attrDouble("base_energy_fj_per_bit", 1.5);
+        double e_unit_fj = ctx.attrDouble("unit_cap_energy_fj",
+                                          physics::kDac.unitCapEnergyFj);
+        double e_base_fj = ctx.attrDouble(
+            "base_energy_fj_per_bit", physics::kDac.baseEnergyFjPerBit);
         double value_term;
         if (in.bipolarBits) {
             // Bipolar bits swing full scale; cost follows toggling.
@@ -232,10 +229,11 @@ class ReramCellModel : public ComponentModel
     {
         const EncodedTensor& in = ctx.tensors[kI];
         const EncodedTensor& wt = ctx.tensors[kW];
-        double g_on_us = ctx.attrDouble("g_on_us", 100.0);
-        double g_off_us = ctx.attrDouble("g_off_us", 2.0);
-        double v_read = ctx.attrDouble("v_read", 0.3);
-        double t_read_ns = ctx.attrDouble("t_read_ns", 10.0);
+        const physics::ReramCellDefaults& dflt = physics::kReramCell;
+        double g_on_us = ctx.attrDouble("g_on_us", dflt.gOnUs);
+        double g_off_us = ctx.attrDouble("g_off_us", dflt.gOffUs);
+        double v_read = ctx.attrDouble("v_read", dflt.vRead);
+        double t_read_ns = ctx.attrDouble("t_read_ns", dflt.tReadNs);
         // Average conductance between G_off and G_on by weight level.
         double g_avg =
             g_off_us + (g_on_us - g_off_us) * wt.meanNormValue();
@@ -420,8 +418,9 @@ class ShiftAddModel : public ComponentModel
     ComponentEstimate
     estimate(const ComponentContext& ctx) const override
     {
-        std::int64_t width = ctx.attrInt("width", 16);
-        double e_bit_fj = ctx.attrDouble("energy_per_bit_fj", 4.0);
+        std::int64_t width = ctx.attrInt("width", physics::kShiftAdd.width);
+        double e_bit_fj = ctx.attrDouble("energy_per_bit_fj",
+                                         physics::kShiftAdd.energyPerBitFj);
         ComponentEstimate est;
         est.actionEnergyPj[kO] =
             e_bit_fj * static_cast<double>(width) / 1000.0 * e65(ctx);
@@ -492,8 +491,7 @@ class SramBufferModel : public ComponentModel
         if (width < 1)
             CIM_FATAL("SRAM attribute 'width' must be >= 1, got ", width);
         double bits = static_cast<double>(entries * width);
-        double word_pj =
-            (0.012 * std::sqrt(bits) + 0.003 * width) * e65(ctx);
+        double word_pj = physics::sramWordPj(bits, width) * e65(ctx);
         ComponentEstimate est;
         for (TensorKind t : workload::kAllTensors) {
             int ti = tensorIndex(t);

@@ -12,11 +12,13 @@
 #include "cimloop/dist/encoding.hh"
 #include "cimloop/dist/reduce.hh"
 #include "cimloop/faults/faults.hh"
+#include "cimloop/models/physics.hh"
 #include "cimloop/models/tech.hh"
 #include "cimloop/obs/obs.hh"
 
 namespace cimloop::refsim {
 
+namespace physics = models::physics;
 using dist::EncodedTensor;
 using dist::Pmf;
 using workload::Dim;
@@ -25,95 +27,58 @@ using workload::Layer;
 namespace {
 
 /**
- * Physics shared by the three estimators here, so that the statistical
- * model and the value-level simulator disagree only through their
- * treatment of data values. The constants follow the plug-ins
- * (src/models/plugins.cc) except the ADC: a convert here is
- * kAdcFomFj * 2^b, while AdcModel adds a 0.05 fJ * 4^b thermal term and
- * a voltageEnergyFactor()^0.5 supply factor. ROADMAP.md's "One
- * statistical model" item replaces this copy with the plug-ins.
+ * The per-event prices of one config, hoisted out of the walk (pow()
+ * would otherwise run on every DAC/ADC convert). Every constant and
+ * form comes from models::physics, the plug-ins' own, at refsim's
+ * operating point: nominal supply, the plug-ins' default attributes, a
+ * 16-bit shift-add and an 8K x 64b buffer.
  */
-struct Physics
+struct Prices
 {
-    double e65;         //!< tech energy scale relative to 65 nm
+    double e65;          //!< tech energy scale relative to 65 nm
     int dacBits;
+    double dacLevels;    //!< 2^dacBits - 1
+    double adcConvertPj; //!< one full-scale ADC convert
+    double shiftAddPj;   //!< one shift-add per ADC output
+    double bufferWordPj; //!< one 64-bit buffer word
 
-    // DAC (capacitive, value-proportional).
-    static constexpr double kDacUnitFj = 3.0;
-    static constexpr double kDacBaseFjPerBit = 1.5;
-
-    // ReRAM cell: G V^2 T.
-    static constexpr double kGOnUs = 100.0;
-    static constexpr double kGOffUs = 2.0;
-    static constexpr double kVRead = 0.3;
-    static constexpr double kTReadNs = 10.0;
-
-    // ADC: survey regression.
-    static constexpr double kAdcFomFj = 25.0;
-
-    // Digital shift-add per ADC output.
-    static constexpr double kShiftAddPj = 0.064;
-
-    // Buffer word access (CACTI-lite at 8K x 64b).
-    static constexpr double kBufferWordPj = 8.9;
-
-    // Hoisted per-call invariants (pow() would otherwise run on every
-    // DAC/ADC convert of the value-level loop).
-    double dacLevels;
-    double adcConvertPj;
-
-    explicit Physics(const RefSimConfig& c)
+    explicit Prices(const RefSimConfig& c)
         : e65(models::energyScale(65.0, c.technologyNm)),
           dacBits(c.dacBits),
           dacLevels(std::pow(2.0, c.dacBits) - 1.0),
-          adcConvertPj(kAdcFomFj * std::pow(2.0, c.adcBits) / 1000.0 *
-                       models::energyScale(65.0, c.technologyNm))
+          adcConvertPj(physics::adcConvertFj(c.adcBits) / 1000.0 * e65),
+          shiftAddPj(physics::kShiftAdd.energyPerBitFj *
+                     static_cast<double>(physics::kShiftAdd.width) /
+                     1000.0 * e65),
+          bufferWordPj(physics::sramWordPj(8192.0 * 64.0, 64) * e65)
     {}
 
     /** DAC convert of a normalized slice level in [0, 1]. */
     double
     dacPj(double x_norm) const
     {
-        return (kDacUnitFj * x_norm * dacLevels +
-                kDacBaseFjPerBit * dacBits) / 1000.0 * e65;
+        return (physics::kDac.unitCapEnergyFj * x_norm * dacLevels +
+                physics::kDac.baseEnergyFjPerBit * dacBits) /
+               1000.0 * e65;
     }
 
-    /** Cell energy of one input slice over a row tile: its x^2 row sum
-     *  @p sum_x2 and its sum of x^2 * g_norm, @p dot_e (exact). */
-    static double
-    cellTilePj(double sum_x2, double dot_e)
-    {
-        const double v2 = kVRead * kVRead;
-        return (kGOffUs * sum_x2 + (kGOnUs - kGOffUs) * dot_e) * v2 *
-               kTReadNs / 1000.0;
-    }
-
-    /**
-     * One ADC convert of a normalized column sum in [0, 1]. Value-aware
-     * SAR: the resolved-bit count grows ~sqrt-like with the code, so the
-     * energy transfer is concave — which is why the *spread* of the
-     * column-sum distribution (and thus the independence assumption)
-     * matters, not just its mean.
-     */
+    /** One ADC convert of a normalized column sum. */
     double
     adcPj(double sum_norm) const
     {
-        return adcConvertPj *
-            (0.3 + 0.7 * std::min(1.0, std::sqrt(2.0 * std::abs(sum_norm))));
-    }
-
-    double
-    shiftAddPj() const
-    {
-        return kShiftAddPj * e65;
-    }
-
-    double
-    bufferPjPerWord() const
-    {
-        return kBufferWordPj * e65;
+        return adcConvertPj * physics::sarValueFactor(sum_norm);
     }
 };
+
+/** ReRAM cell energy of one input slice over a row tile: its x^2 row
+ *  sum @p sum_x2 and its sum of x^2 * g_norm, @p dot_e (exact). */
+double
+cellTilePj(double sum_x2, double dot_e)
+{
+    const physics::ReramCellDefaults& cell = physics::kReramCell;
+    return (cell.gOffUs * sum_x2 + (cell.gOnUs - cell.gOffUs) * dot_e) *
+           (cell.vRead * cell.vRead) * cell.tReadNs / 1000.0;
+}
 
 /** Matrix view of a layer: reduction, outputs, activation vectors. */
 struct LayerShape
@@ -123,7 +88,6 @@ struct LayerShape
     std::int64_t vectors; //!< N * P * Q
     std::int64_t ib;      //!< input slices
     std::int64_t wb;      //!< weight slices
-    std::int64_t kcols;   //!< outputs per column tile (cols / WB)
     std::int64_t tiles_c;
     std::int64_t tiles_k;
 
@@ -136,9 +100,9 @@ struct LayerShape
                   layer.size(Dim::Q);
         ib = ceilDiv(cfg.inputBits, cfg.dacBits);
         wb = ceilDiv(cfg.weightBits, cfg.cellBits);
-        kcols = std::max<std::int64_t>(1, cfg.cols / wb);
         tiles_c = ceilDiv(c_total, cfg.rows);
-        tiles_k = ceilDiv(k_total, kcols);
+        // A column tile holds cols / WB outputs.
+        tiles_k = ceilDiv(k_total, std::max<std::int64_t>(1, cfg.cols / wb));
     }
 };
 
@@ -179,9 +143,8 @@ sliceNorm(std::int64_t code, int slice_idx, int slice_bits, int total_bits)
 {
     int lo = slice_idx * slice_bits;
     int width = std::min(slice_bits, total_bits - lo);
-    std::int64_t mask = (std::int64_t{1} << width) - 1;
-    std::int64_t v = (code >> lo) & mask;
     std::int64_t max_code = (std::int64_t{1} << width) - 1;
+    std::int64_t v = (code >> lo) & max_code;
     return max_code > 0 ? static_cast<double>(v) /
                               static_cast<double>(max_code)
                         : 0.0;
@@ -191,14 +154,9 @@ sliceNorm(std::int64_t code, int slice_idx, int slice_bits, int total_bits)
 std::int64_t
 offsetCode(double v, int bits)
 {
-    std::int64_t half = std::int64_t{1} << (bits - 1);
-    std::int64_t full = (std::int64_t{1} << bits) - 1;
-    auto c = static_cast<std::int64_t>(std::llround(v)) + half;
-    if (c < 0)
-        c = 0;
-    if (c > full)
-        c = full;
-    return c;
+    const std::int64_t half = std::int64_t{1} << (bits - 1);
+    return std::clamp<std::int64_t>(
+        static_cast<std::int64_t>(std::llround(v)) + half, 0, 2 * half - 1);
 }
 
 /** Closed-form action counts shared by all three estimators. */
@@ -226,10 +184,6 @@ struct ActionCounts
         buffer_writes = v * static_cast<double>(s.k_total);
     }
 };
-
-} // namespace
-
-namespace {
 
 /**
  * Sampled vectors walked over each row tile per pass. A block's slice
@@ -350,7 +304,7 @@ struct TileBuffer
 struct LayerWalk
 {
     const RefSimConfig& config;
-    const Physics& phys;
+    const Prices& prices;
     const LayerShape& shape;
     const GenParams& gen;
     const std::vector<std::uint16_t>& codes; //!< [k * c_total + c]
@@ -368,10 +322,10 @@ struct LayerWalk
     std::vector<double> levels;    //!< levels path: [code * wb + w]
     std::vector<double> bitWeight; //!< Macro-C cycle weights
 
-    LayerWalk(const RefSimConfig& c, const Physics& p, const LayerShape& s,
+    LayerWalk(const RefSimConfig& c, const Prices& p, const LayerShape& s,
               const GenParams& g, const std::vector<std::uint16_t>& w,
               std::uint64_t layer_seed, std::uint64_t fault_seed, bool rec)
-        : config(c), phys(p), shape(s), gen(g), codes(w),
+        : config(c), prices(p), shape(s), gen(g), codes(w),
           layerSeed(layer_seed), faultSeed(fault_seed), record(rec),
           unitLevels(c.dacBits == 1),
           bitPlanes(c.dacBits == 1 && c.cellBits == 1 &&
@@ -553,7 +507,7 @@ LayerWalk::walk(const Tile& tile, const TileBuffer& t, VectorWalk& w,
     for (std::int64_t ib = 0; ib < shape.ib; ++ib) {
         const double* xs = &w.xn[ib * shape.c_total];
         for (std::int64_t c = c0; c < tile.c1; ++c)
-            dac_tile += phys.dacPj(xs[c]);
+            dac_tile += prices.dacPj(xs[c]);
     }
     part.dacPj += static_cast<double>(shape.tiles_k) * dac_tile;
 
@@ -576,7 +530,7 @@ LayerWalk::walk(const Tile& tile, const TileBuffer& t, VectorWalk& w,
             const auto sum_x2 = static_cast<double>(ones);
             double* cell = &w.cellPj[ib * counts_per_slice];
             for (std::uint32_t d = 0; d <= ones; ++d)
-                cell[d] = Physics::cellTilePj(sum_x2, d);
+                cell[d] = cellTilePj(sum_x2, d);
         }
     } else {
         for (std::int64_t ib = 0; ib < shape.ib; ++ib)
@@ -592,12 +546,12 @@ LayerWalk::walk(const Tile& tile, const TileBuffer& t, VectorWalk& w,
     double adc_pj = part.adcPj;
     double digital_pj = part.digitalPj;
     const bool accumulate = config.accumulateAcrossInputBits;
-    const double shift_add_pj = phys.shiftAddPj();
+    const double shift_add_pj = prices.shiftAddPj;
     const std::int64_t g_rows = shape.k_total * shape.wb;
     // The Macro-C accumulator converts once per conductance row.
     auto convertAccumulated = [&](double acc_s) {
         double norm = acc_s / (2.0 * rows_used);
-        adc_pj += phys.adcPj(adcReadout(norm));
+        adc_pj += prices.adcPj(adcReadout(norm));
         digital_pj += shift_add_pj;
     };
     // Conductance rows (k, wb) in order against every input slice of
@@ -619,8 +573,9 @@ LayerWalk::walk(const Tile& tile, const TileBuffer& t, VectorWalk& w,
                 if (accumulate) {
                     acc_s += d * bitWeight[ib];
                 } else {
-                    adc_pj += adc_tab ? adc_tab[d]
-                                      : phys.adcPj(adcReadout(d / rows_used));
+                    adc_pj += adc_tab
+                        ? adc_tab[d]
+                        : prices.adcPj(adcReadout(d / rows_used));
                     digital_pj += shift_add_pj;
                 }
             }
@@ -641,11 +596,11 @@ LayerWalk::walk(const Tile& tile, const TileBuffer& t, VectorWalk& w,
             double acc_s = 0.0;
             for (std::int64_t ib = 0; ib < shape.ib; ++ib) {
                 const double dot_s = w.dotS[ib]; // sum x*g (ADC input)
-                cell_pj += Physics::cellTilePj(w.sumX2[ib], dot_e[ib]);
+                cell_pj += cellTilePj(w.sumX2[ib], dot_e[ib]);
                 if (accumulate) {
                     acc_s += dot_s * bitWeight[ib];
                 } else {
-                    adc_pj += phys.adcPj(adcReadout(dot_s / rows_used));
+                    adc_pj += prices.adcPj(adcReadout(dot_s / rows_used));
                     digital_pj += shift_add_pj;
                 }
             }
@@ -689,7 +644,7 @@ simulateValueLevel(const RefSimConfig& config, const Layer& layer,
         }
     }
     config.faults.validate();
-    Physics phys(config);
+    const Prices prices(config);
     LayerShape shape(config, layer);
     GenParams gen(layer.network.empty() ? layer.name : layer.network,
                   layer.index, std::max(layer.networkLayers, 1));
@@ -742,7 +697,7 @@ simulateValueLevel(const RefSimConfig& config, const Layer& layer,
     // truth-vs-model comparison the fault tests assert.
     const bool record = out_profile != nullptr;
     const LayerWalk lw(
-        config, phys, shape, gen, codes, layer_seed,
+        config, prices, shape, gen, codes, layer_seed,
         faults::layerFaultSeed(config.faults, layer.name, layer.index),
         record);
 
@@ -797,7 +752,7 @@ simulateValueLevel(const RefSimConfig& config, const Layer& layer,
                 tile_buf.adcPj.resize(tile.len() + 1);
                 for (std::int64_t d = 0; d <= tile.len(); ++d)
                     tile_buf.adcPj[d] =
-                        phys.adcPj(static_cast<double>(d) / rows_used);
+                        prices.adcPj(static_cast<double>(d) / rows_used);
             }
             parallelFor(config.threads, nb,
                         [&](std::size_t i) {
@@ -848,7 +803,7 @@ simulateValueLevel(const RefSimConfig& config, const Layer& layer,
     // Buffer traffic is value-independent; count it analytically.
     ActionCounts counts(shape, config.accumulateAcrossInputBits);
     res.bufferPj = (counts.buffer_reads + counts.buffer_writes) *
-                   phys.bufferPjPerWord() / 8.0;
+                   prices.bufferWordPj / 8.0;
     res.ops = counts.cells;
 
     if (out_profile) {
@@ -885,7 +840,7 @@ estimateStatistical(const RefSimConfig& config, const Layer& layer,
     ActionCounts counts(shape, config.accumulateAcrossInputBits);
 
     // Per-action energies from the marginal PMFs.
-    const Physics phys(config);
+    const Prices prices(config);
 
     // Inputs: offset-encode, slice, take the slice mixture.
     EncodedTensor in_full = dist::encodeOperands(
@@ -897,7 +852,7 @@ estimateStatistical(const RefSimConfig& config, const Layer& layer,
     for (const EncodedTensor& s : in_slices) {
         double mc = s.maxCode();
         e_dac += s.codes.expectation([&](double code) {
-            return phys.dacPj(mc > 0 ? code / mc : 0.0);
+            return prices.dacPj(mc > 0 ? code / mc : 0.0);
         });
         ex += s.meanNormValue();
         ex2 += s.meanNormSquare();
@@ -930,10 +885,10 @@ estimateStatistical(const RefSimConfig& config, const Layer& layer,
     eg2 /= n_wslices;
 
     // Cell: E[(g_off + gd*g) * v^2 * x^2] = independence-exact.
-    double v2 = Physics::kVRead * Physics::kVRead;
-    double cell_pj = (Physics::kGOffUs * ex2 +
-                      (Physics::kGOnUs - Physics::kGOffUs) * eg * ex2) *
-                     v2 * Physics::kTReadNs / 1000.0;
+    const physics::ReramCellDefaults& cell = physics::kReramCell;
+    double cell_pj =
+        (cell.gOffUs * ex2 + (cell.gOnUs - cell.gOffUs) * eg * ex2) *
+        (cell.vRead * cell.vRead) * cell.tReadNs / 1000.0;
 
     // ADC: the column sum of `rows` INDEPENDENT x*g terms (this is
     // the paper's independence approximation; the ground truth has
@@ -961,18 +916,17 @@ estimateStatistical(const RefSimConfig& config, const Layer& layer,
     Pmf sum_pmf = Pmf::quantizedGaussian(mu * 1000.0, sigma * 1000.0,
                                          window_lo, window_hi);
     double adc_pj = sum_pmf.expectation(
-        [&](double milli) { return phys.adcPj(milli / 1000.0); });
+        [&](double milli) { return prices.adcPj(milli / 1000.0); });
 
     RefSimResult res;
     res.dacPj = counts.dac * dac_pj;
     res.cellPj = counts.cells * cell_pj;
     res.adcPj = counts.adc * adc_pj;
-    res.digitalPj = counts.digital * phys.shiftAddPj();
+    res.digitalPj = counts.digital * prices.shiftAddPj;
     res.bufferPj =
         (counts.buffer_reads + counts.buffer_writes) *
-        phys.bufferPjPerWord() / 8.0;
+        prices.bufferWordPj / 8.0;
     res.ops = counts.cells;
-    res.valuesSimulated = 0;
     return res;
 }
 
@@ -988,9 +942,6 @@ averageProfiles(const std::vector<dist::OperandProfile>& profiles)
 {
     CIM_ASSERT(!profiles.empty(), "averageProfiles needs profiles");
     std::vector<Pmf> ins, wts, outs;
-    ins.reserve(profiles.size());
-    wts.reserve(profiles.size());
-    outs.reserve(profiles.size());
     for (const dist::OperandProfile& p : profiles) {
         ins.push_back(p.inputs);
         wts.push_back(p.weights);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "cimloop/common/error.hh"
+#include "support/scratch.hh"
 
 namespace cimloop::cli {
 namespace {
@@ -180,9 +181,9 @@ TEST(Run, BuiltinMacroAndNetwork)
 
 TEST(Run, YamlArchAndWorkloadWithCsv)
 {
-    const char* arch_path = "/tmp/cimloop_cli_arch.yaml";
-    const char* net_path = "/tmp/cimloop_cli_net.yaml";
-    const char* csv_path = "/tmp/cimloop_cli_out.csv";
+    const std::string arch_path = support::scratchPath("cli_arch.yaml");
+    const std::string net_path = support::scratchPath("cli_net.yaml");
+    const std::string csv_path = support::scratchPath("cli_out.csv");
     {
         std::ofstream a(arch_path);
         a << "!Component\n"
@@ -240,8 +241,8 @@ TEST(Run, BadBitWidthsInUserFilesAreFatal)
 {
     // Out-of-range widths in a YAML workload or a YAML arch are user
     // errors: exit 1 with a message naming the key, never a panic.
-    const std::string arch_path = "/tmp/cimloop_cli_bits_arch.yaml";
-    const std::string net_path = "/tmp/cimloop_cli_bits_net.yaml";
+    const std::string arch_path = support::scratchPath("cli_bits_arch.yaml");
+    const std::string net_path = support::scratchPath("cli_bits_net.yaml");
     auto write_arch = [&](int adc_resolution) {
         std::ofstream a(arch_path);
         a << "!Component\nname: buffer\nclass: SRAM\n"
@@ -314,7 +315,7 @@ TEST(Run, MissingFileExitsOne)
 
 TEST(Run, ErtDump)
 {
-    const char* ert_path = "/tmp/cimloop_cli_ert.yaml";
+    const std::string ert_path = support::scratchPath("cli_ert.yaml");
     std::ostringstream out, err;
     int rc = run({"--macro", "base", "--network", "mvm", "--mappings",
                   "10", "--ert", ert_path},
@@ -331,7 +332,8 @@ TEST(Run, ErtDump)
 
 TEST(Run, FixedMappingReplay)
 {
-    const char* map_path = "/tmp/cimloop_cli_map.yaml";
+    const std::string map_path = support::scratchPath("cli_map.yaml");
+    const std::string net_path = support::scratchPath("cli_fixnet.yaml");
     {
         std::ofstream m(map_path);
         m << "mapping:\n"
@@ -342,13 +344,13 @@ TEST(Run, FixedMappingReplay)
              "  - node: buffer\n"
              "    temporal: {P: 1024, IB: 8, K: 16}\n"
              "    order: [K, P, IB]\n";
-        std::ofstream n("/tmp/cimloop_cli_fixnet.yaml");
+        std::ofstream n(net_path);
         n << "name: fix\nlayers:\n"
              "  - {name: l0, dims: {C: 128, K: 256, P: 1024}}\n";
     }
     std::ostringstream out, err;
     int rc = run({"--macro", "base", "--workload",
-                  "/tmp/cimloop_cli_fixnet.yaml", "--mapping", map_path},
+                  net_path, "--mapping", map_path},
                  out, err);
     ASSERT_EQ(rc, 0) << err.str();
     EXPECT_NE(out.str().find("replaying fixed mapping"),
@@ -361,7 +363,7 @@ TEST(Run, FixedMappingReplay)
     }
     std::ostringstream out2, err2;
     EXPECT_EQ(run({"--macro", "base", "--workload",
-                   "/tmp/cimloop_cli_fixnet.yaml", "--mapping", map_path},
+                   net_path, "--mapping", map_path},
                   out2, err2),
               1);
     EXPECT_NE(err2.str().find("invalid"), std::string::npos);
@@ -390,7 +392,7 @@ TEST(Run, DevicePresetFlag)
 /** Field @p column of the first CSV row in @p path starting with
  *  @p row_prefix; "" when there is none. */
 std::string
-csvField(const char* path, const std::string& row_prefix,
+csvField(const std::string& path, const std::string& row_prefix,
          std::size_t column)
 {
     std::ifstream csv(path);
@@ -411,9 +413,9 @@ TEST(Run, MacroBitFlagsBuildTheSameDesignAsASweepPoint)
 {
     // --dac-bits on a built-in macro must size the DAC and the output
     // width the way a sweep point with the same dac_bits does.
-    const char* spec_path = "/tmp/cimloop_cli_dac4.yaml";
-    const char* sweep_csv = "/tmp/cimloop_cli_dac4_sweep.csv";
-    const char* cli_csv = "/tmp/cimloop_cli_dac4_cli.csv";
+    const std::string spec_path = support::scratchPath("cli_dac4.yaml");
+    const std::string sweep_csv = support::scratchPath("cli_dac4_sweep.csv");
+    const std::string cli_csv = support::scratchPath("cli_dac4_cli.csv");
     {
         std::ofstream f(spec_path);
         f << "sweep:\n"
@@ -439,9 +441,9 @@ TEST(Run, MacroBitFlagsBuildTheSameDesignAsASweepPoint)
     const std::string sweep_energy = csvField(sweep_csv, "0,4,ok,", 3);
     ASSERT_FALSE(sweep_energy.empty());
     EXPECT_EQ(csvField(cli_csv, "TOTAL,", 3), sweep_energy);
-    std::remove(spec_path);
-    std::remove(sweep_csv);
-    std::remove(cli_csv);
+    std::remove(spec_path.c_str());
+    std::remove(sweep_csv.c_str());
+    std::remove(cli_csv.c_str());
 }
 
 TEST(Parse, RefSimFlags)
@@ -554,7 +556,7 @@ TEST(Parse, FaultFlags)
 
 TEST(Run, FaultSpecFileDrivesBothModes)
 {
-    const char* faults_path = "/tmp/cimloop_cli_faults.yaml";
+    const std::string faults_path = support::scratchPath("cli_faults.yaml");
     {
         std::ofstream f(faults_path);
         f << "faults:\n"
@@ -636,8 +638,8 @@ TEST(Run, FaultyStatisticalRunStillSucceeds)
 
 TEST(Run, KeepGoingReportsFailedLayersAndExitsZero)
 {
-    const char* arch_path = "/tmp/cimloop_cli_kg_arch.yaml";
-    const char* net_path = "/tmp/cimloop_cli_kg_net.yaml";
+    const std::string arch_path = support::scratchPath("cli_kg_arch.yaml");
+    const std::string net_path = support::scratchPath("cli_kg_net.yaml");
     {
         // An arch whose only temporal dims are P: the C-loop layer in
         // the middle of the network is unmappable on it.
@@ -774,7 +776,7 @@ TEST(Run, MetricsSummaryTableOnStdout)
 
 TEST(Run, MetricsFileContainsCountersAndSpans)
 {
-    const char* path = "/tmp/cimloop_cli_metrics.json";
+    const std::string path = support::scratchPath("cli_metrics.json");
     std::ostringstream out, err;
     int rc = run({"--refsim", "--network", "mvm", "--refsim-vectors",
                   "4", "--metrics=" + std::string(path)},
@@ -792,7 +794,7 @@ TEST(Run, MetricsFileContainsCountersAndSpans)
     EXPECT_NE(json.find("\"refsim.simulate_layer\""), std::string::npos);
     // JSON mode keeps stdout for the report only.
     EXPECT_EQ(out.str().find("counter"), std::string::npos);
-    std::remove(path);
+    std::remove(path.c_str());
 }
 
 TEST(Run, TraceFileIsChromeLoadable)
@@ -800,7 +802,7 @@ TEST(Run, TraceFileIsChromeLoadable)
     // The fig6 workload class: value-level refsim vs the statistical
     // model. Structural validation of the Chrome trace-event format —
     // the invariants chrome://tracing / Perfetto require to load it.
-    const char* path = "/tmp/cimloop_cli_trace.json";
+    const std::string path = support::scratchPath("cli_trace.json");
     std::ostringstream out, err;
     int rc = run({"--refsim", "--network", "mvm", "--refsim-vectors",
                   "4", "--threads", "2",
@@ -841,7 +843,7 @@ TEST(Run, TraceFileIsChromeLoadable)
     EXPECT_GT(events, 0u);
     EXPECT_NE(json.find("\"name\":\"refsim.simulate_layer\""),
               std::string::npos);
-    std::remove(path);
+    std::remove(path.c_str());
 
     // Tracing is a per-run switch: a following plain run must not
     // inherit it (the scope disarms on exit).
@@ -857,7 +859,7 @@ namespace {
 
 /** Writes a small sweep spec and returns its path. */
 std::string
-writeSweepSpec(const char* path)
+writeSweepSpec(const std::string& path)
 {
     std::ofstream f(path);
     f << "sweep:\n"
@@ -936,8 +938,8 @@ TEST(Parse, SweepResumeFlags)
 
 TEST(Run, SweepPauseAndResumeMatchesCleanRun)
 {
-    const char* spec_path = "/tmp/cimloop_cli_sweep_resume.yaml";
-    const std::string dir = "/tmp/cimloop_cli_sweep_resume_journal";
+    const std::string spec_path = support::scratchPath("cli_sweep_resume.yaml");
+    const std::string dir = support::scratchPath("cli_sweep_resume_journal");
     writeSweepSpec(spec_path);
     std::filesystem::remove_all(dir);
 
@@ -973,9 +975,9 @@ TEST(Run, SweepPauseAndResumeMatchesCleanRun)
 
 TEST(Run, SweepEndToEndWithArtifacts)
 {
-    const char* spec_path = "/tmp/cimloop_cli_sweep.yaml";
-    const char* csv_path = "/tmp/cimloop_cli_sweep.csv";
-    const char* json_path = "/tmp/cimloop_cli_sweep.json";
+    const std::string spec_path = support::scratchPath("cli_sweep.yaml");
+    const std::string csv_path = support::scratchPath("cli_sweep.csv");
+    const std::string json_path = support::scratchPath("cli_sweep.json");
     writeSweepSpec(spec_path);
 
     std::ostringstream out, err;
@@ -1005,13 +1007,13 @@ TEST(Run, SweepEndToEndWithArtifacts)
                     std::istreambuf_iterator<char>());
     EXPECT_NE(doc.find("\"sweep\": \"cli-sweep\""), std::string::npos);
     EXPECT_NE(doc.find("\"failed\": 1"), std::string::npos);
-    std::remove(csv_path);
-    std::remove(json_path);
+    std::remove(csv_path.c_str());
+    std::remove(json_path.c_str());
 }
 
 TEST(Run, SweepThreadsMatchSingle)
 {
-    const char* spec_path = "/tmp/cimloop_cli_sweep_t.yaml";
+    const std::string spec_path = support::scratchPath("cli_sweep_t.yaml");
     writeSweepSpec(spec_path);
     std::ostringstream out1, out8, err;
     ASSERT_EQ(run({"--sweep", spec_path, "--seed", "3"}, out1, err), 0);
@@ -1024,7 +1026,7 @@ TEST(Run, SweepThreadsMatchSingle)
 
 TEST(Run, SweepBadSpecExitsOneWithKeyPath)
 {
-    const char* spec_path = "/tmp/cimloop_cli_sweep_bad.yaml";
+    const std::string spec_path = support::scratchPath("cli_sweep_bad.yaml");
     {
         std::ofstream f(spec_path);
         f << "sweep:\n"
@@ -1129,8 +1131,8 @@ TEST(Run, KeepGoingTimeoutReportsDiagnosticsAndExits124)
 
 TEST(Run, SweepTimeoutPausesResumably)
 {
-    const char* spec_path = "/tmp/cimloop_cli_sweep_timeout.yaml";
-    const std::string dir = "/tmp/cimloop_cli_sweep_timeout_journal";
+    const std::string spec_path = support::scratchPath("cli_sweep_timeout.yaml");
+    const std::string dir = support::scratchPath("cli_sweep_timeout_journal");
     writeSweepSpec(spec_path);
     std::filesystem::remove_all(dir);
 
@@ -1168,7 +1170,7 @@ TEST(Run, SweepTimeoutPausesResumably)
 
 TEST(Run, SweepTimeoutWithoutJournalStillExits124)
 {
-    const char* spec_path = "/tmp/cimloop_cli_sweep_timeout_nj.yaml";
+    const std::string spec_path = support::scratchPath("cli_sweep_timeout_nj.yaml");
     writeSweepSpec(spec_path);
     std::ostringstream out, err;
     int rc = run({"--sweep", spec_path, "--timeout", "1e-9"}, out, err);

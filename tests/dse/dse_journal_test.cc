@@ -24,15 +24,17 @@
 #include "cimloop/common/json.hh"
 #include "cimloop/common/util.hh"
 #include "cimloop/engine/evaluate.hh"
+#include "support/scratch.hh"
 
 namespace cimloop::dse {
 namespace {
 
-/** A fresh (pre-removed) journal directory under /tmp. */
+/** A fresh (pre-removed) journal directory in the test's scratch
+ *  directory. */
 std::string
 freshDir(const std::string& tag)
 {
-    std::string dir = "/tmp/cimloop_journal_" + tag;
+    std::string dir = support::scratchPath("journal_" + tag);
     std::filesystem::remove_all(dir);
     return dir;
 }

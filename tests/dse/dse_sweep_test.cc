@@ -23,6 +23,7 @@
 #include "cimloop/macros/macros.hh"
 #include "cimloop/obs/obs.hh"
 #include "cimloop/workload/networks.hh"
+#include "support/scratch.hh"
 
 namespace cimloop::dse {
 namespace {
@@ -584,8 +585,8 @@ TEST(DseSweep, InterruptedThenResumedRunIsByteIdentical)
     const std::string json = toJson(clean);
 
     for (int resumeThreads : {1, 8}) {
-        const std::string dir =
-            "/tmp/cimloop_resume_t" + std::to_string(resumeThreads);
+        const std::string dir = support::scratchPath(
+            "resume_t" + std::to_string(resumeThreads));
         std::filesystem::remove_all(dir);
 
         SweepOptions first;
@@ -642,7 +643,7 @@ TEST(DseSweep, InterruptedThenResumedRunIsByteIdentical)
 
 TEST(DseSweep, ResumeAgainstADriftedSpecIsFatal)
 {
-    const std::string dir = "/tmp/cimloop_resume_drift";
+    const std::string dir = support::scratchPath("resume_drift");
     std::filesystem::remove_all(dir);
     SweepSpec spec;
     spec.network = "mvm";
@@ -763,8 +764,8 @@ TEST(DseSweepCancel, CancelledResumedSweepIsByteIdentical)
     const std::string json = toJson(clean);
 
     for (int resumeThreads : {1, 8}) {
-        const std::string dir =
-            "/tmp/cimloop_cancel_t" + std::to_string(resumeThreads);
+        const std::string dir = support::scratchPath(
+            "cancel_t" + std::to_string(resumeThreads));
         std::filesystem::remove_all(dir);
 
         // The validity hook runs per materialized point, inside the

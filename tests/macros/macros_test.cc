@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "cimloop/common/error.hh"
 #include "cimloop/engine/evaluate.hh"
+#include "cimloop/spec/builder.hh"
 #include "cimloop/workload/networks.hh"
 
 namespace cimloop::macros {
@@ -210,6 +215,75 @@ TEST(Validation, UserReachableParamsAreFatal)
     p = macroBDefaults();
     p.bufferKb = 0;
     EXPECT_NE(message("B", p).find("buffer_kb"), std::string::npos);
+}
+
+TEST(Macros, AliasesResolveAlikeEverywhere)
+{
+    // Every name of a macro, in any case, picks the same defaults, Arch
+    // and embedded hierarchy through every entry point.
+    struct Kind
+    {
+        const char* archName;
+        MacroParams (*defaults)();
+        Arch (*build)(const MacroParams&);
+        std::vector<std::string> aliases;
+    };
+    const Kind kinds[] = {
+        {"base_macro", baseDefaults, baseMacro, {"base", "Base", "BASE"}},
+        {"macro_A", macroADefaults, macroA,
+         {"a", "A", "macro_a", "Macro_A"}},
+        {"macro_B", macroBDefaults, macroB,
+         {"b", "B", "macro_b", "MACRO_B"}},
+        {"macro_C", macroCDefaults, macroC,
+         {"c", "C", "macro_c", "mAcRo_C"}},
+        {"macro_D", macroDDefaults, macroD,
+         {"d", "D", "macro_d", "Macro_d"}},
+        {"digital_cim", digitalCimDefaults, digitalCim,
+         {"digital", "Digital", "digital_cim", "Digital_CIM"}},
+    };
+    for (const Kind& kind : kinds) {
+        const MacroParams want = kind.defaults();
+        const Arch built = kind.build(want);
+        EXPECT_EQ(built.name, kind.archName);
+        const std::string yaml = built.hierarchy.toYamlText();
+        for (const std::string& alias : kind.aliases) {
+            SCOPED_TRACE(alias);
+            const MacroParams p = defaultsByName(alias);
+            EXPECT_EQ(p.rows, want.rows);
+            EXPECT_EQ(p.cols, want.cols);
+            EXPECT_EQ(p.technologyNm, want.technologyNm);
+            EXPECT_EQ(p.adcBits, want.adcBits);
+            EXPECT_EQ(p.bufferKb, want.bufferKb);
+            const Arch by_name = macroByName(alias);
+            EXPECT_EQ(by_name.name, kind.archName);
+            EXPECT_EQ(by_name.hierarchy.toYamlText(), yaml);
+            EXPECT_EQ(macroByName(alias, want).name, kind.archName);
+            spec::HierarchyBuilder b(kind.archName);
+            appendMacro(b, want, alias);
+            EXPECT_EQ(b.build().toYamlText(), yaml);
+        }
+    }
+
+    // An unknown name is the same spec error from each entry point.
+    auto fatal = [](const std::function<void()>& f) {
+        try {
+            f();
+        } catch (const FatalError& e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    const std::string want =
+        "fatal: unknown macro 'Macro_E' (expected base, A, B, C, D, or "
+        "digital)";
+    EXPECT_EQ(fatal([] { defaultsByName("Macro_E"); }), want);
+    EXPECT_EQ(fatal([] { macroByName("Macro_E"); }), want);
+    EXPECT_EQ(fatal([] { macroByName("Macro_E", baseDefaults()); }), want);
+    EXPECT_EQ(fatal([] {
+                  spec::HierarchyBuilder b("sys");
+                  appendMacro(b, baseDefaults(), "Macro_E");
+              }),
+              want);
 }
 
 TEST(Calibration, MacroEfficienciesInPublishedBallpark)

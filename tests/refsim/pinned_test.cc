@@ -7,14 +7,13 @@
  * field, every point (value and probability bits) of the recorded input,
  * weight and output PMFs plus the recorded input sparsity; then every
  * nonzero `refsim.*` and `faults.cells.*` counter (name and value) after
- * the whole set ran. The constants were recorded before the walk was made
- * tile-major; any change to what the walk draws, sums or counts moves
- * them. Each config runs at 1 and 4 threads against the same constant.
+ * the whole set ran. Any change to what the walk draws, sums, counts or
+ * prices (cimloop/models/physics.hh) moves them. Each config runs at 1
+ * and 4 threads against the same constant.
  *
- * The BinaryPath* cases were recorded before the 1-bit walk moved onto
- * packed bit planes and the weights onto integer codes. They also digest
- * the `dist.pmf.from_points.*` counters, which pin whether each recorded
- * profile took the lattice or the fallback merge.
+ * The BinaryPath* cases also digest the `dist.pmf.from_points.*`
+ * counters, which pin whether each recorded profile took the lattice or
+ * the fallback merge.
  */
 #include "cimloop/refsim/refsim.hh"
 
@@ -168,28 +167,28 @@ expectPinned(const RefSimConfig& c, const std::vector<workload::Layer>& l,
 
 TEST(RefsimPinned, BenchConfig)
 {
-    expectPinned(benchConfig(), pinnedLayers(), "b6f81de98765a37b");
+    expectPinned(benchConfig(), pinnedLayers(), "e652e7c0092321dd");
 }
 
 TEST(RefsimPinned, TwoBitDac)
 {
     RefSimConfig c = benchConfig();
     c.dacBits = 2;
-    expectPinned(c, pinnedLayers(), "3a6d77477e95b811");
+    expectPinned(c, pinnedLayers(), "c076be9fa576dc37");
 }
 
 TEST(RefsimPinned, TwoBitCells)
 {
     RefSimConfig c = benchConfig();
     c.cellBits = 2;
-    expectPinned(c, pinnedLayers(), "27014123944aa273");
+    expectPinned(c, pinnedLayers(), "a66ba44683c51679");
 }
 
 TEST(RefsimPinned, AccumulateAcrossInputBits)
 {
     RefSimConfig c = benchConfig();
     c.accumulateAcrossInputBits = true;
-    expectPinned(c, pinnedLayers(), "08b37f0514fbbbb2");
+    expectPinned(c, pinnedLayers(), "fd79a937f73ae003");
 }
 
 TEST(RefsimPinned, RaggedTiles)
@@ -198,7 +197,7 @@ TEST(RefsimPinned, RaggedTiles)
     // a tile length with n % 4 != 0.
     RefSimConfig c = benchConfig();
     c.rows = 100;
-    expectPinned(c, pinnedLayers(), "2f142d3bbd95f208");
+    expectPinned(c, pinnedLayers(), "27706b14f3aaed7e");
 }
 
 TEST(RefsimPinned, CellAndAdcFaults)
@@ -210,7 +209,7 @@ TEST(RefsimPinned, CellAndAdcFaults)
     c.faults.adcOffset = 0.01;
     c.faults.adcNoiseSigma = 0.02;
     c.faults.seed = 3;
-    expectPinned(c, pinnedLayers(), "186145abe011d0f2");
+    expectPinned(c, pinnedLayers(), "787a8224f2b6092d");
 }
 
 TEST(RefsimPinned, SeveralVectorBlocks)
@@ -218,19 +217,19 @@ TEST(RefsimPinned, SeveralVectorBlocks)
     RefSimConfig c = benchConfig();
     c.rows = 32;
     c.maxVectors = 35;
-    expectPinned(c, manyVectorLayer(), "5c8a734eca4fa023");
+    expectPinned(c, manyVectorLayer(), "800d0c0b43f871f8");
     c.maxVectors = 0; // all 80 vectors
-    expectPinned(c, manyVectorLayer(), "0cbbeee3fe4c037b");
+    expectPinned(c, manyVectorLayer(), "fd146fab499ee90d");
     c.faults.stuckOffRate = 0.05;
     c.faults.conductanceSigma = 0.1;
     c.faults.adcNoiseSigma = 0.01;
-    expectPinned(c, manyVectorLayer(), "ae477e1527e2a56b");
+    expectPinned(c, manyVectorLayer(), "1fafe62aee1c6744");
 }
 
 TEST(RefsimPinned, BinaryPathBenchConfig)
 {
-    expectPinned(benchConfig(), pinnedLayers(), "f3d3281fcb790fec", true);
-    expectPinned(benchConfig(), manyVectorLayer(), "c1ccc829969a6ddd", true);
+    expectPinned(benchConfig(), pinnedLayers(), "a1ed2d327b2443ca", true);
+    expectPinned(benchConfig(), manyVectorLayer(), "910afdd93841480b", true);
 }
 
 TEST(RefsimPinned, BinaryPathAdcFaults)
@@ -241,9 +240,9 @@ TEST(RefsimPinned, BinaryPathAdcFaults)
     c.faults.adcOffset = 0.01;
     c.faults.adcNoiseSigma = 0.02;
     c.faults.seed = 3;
-    expectPinned(c, pinnedLayers(), "4fc680c04b101b47", true);
+    expectPinned(c, pinnedLayers(), "aa5ff69b0923c965", true);
     c.accumulateAcrossInputBits = true;
-    expectPinned(c, pinnedLayers(), "89ae86c0a3d63e2b", true);
+    expectPinned(c, pinnedLayers(), "6ab4bcee784ea797", true);
 }
 
 TEST(RefsimPinned, BinaryPathOneWordTiles)
@@ -251,7 +250,7 @@ TEST(RefsimPinned, BinaryPathOneWordTiles)
     // 64-row tiles: 147 = 2 * 64 + 19 and 576 = 9 * 64.
     RefSimConfig c = benchConfig();
     c.rows = 64;
-    expectPinned(c, pinnedLayers(), "185e123bfd63c5e3", true);
+    expectPinned(c, pinnedLayers(), "194bc64897ffa4df", true);
 }
 
 TEST(RefsimPinned, BinaryPathTailWordTiles)
@@ -260,20 +259,20 @@ TEST(RefsimPinned, BinaryPathTailWordTiles)
     // input bits exceeds 255 (the top slice of every non-negative input).
     RefSimConfig c = benchConfig();
     c.rows = 300;
-    expectPinned(c, pinnedLayers(), "8520396e4c2b0e54", true);
+    expectPinned(c, pinnedLayers(), "8c20ef0035f9e5a6", true);
 }
 
 TEST(RefsimPinned, BinaryPathWeightBits)
 {
     RefSimConfig c = benchConfig();
     c.weightBits = 3;
-    expectPinned(c, pinnedLayers(), "8b4e4f1a5d28c1ad", true);
-    expectPinned(c, manyVectorLayer(), "05d78e5ad2201bd1", true);
+    expectPinned(c, pinnedLayers(), "3853188720d43d55", true);
+    expectPinned(c, manyVectorLayer(), "312c77c0ee88c9bf", true);
     // 16-bit codes: the small layer's weight profile is too sparse for
     // the lattice merge and takes the fallback.
     c.weightBits = 16;
-    expectPinned(c, pinnedLayers(), "969b15731921fbca", true);
-    expectPinned(c, manyVectorLayer(), "933cc1e74290c1fe", true);
+    expectPinned(c, pinnedLayers(), "237ec81b323ea84c", true);
+    expectPinned(c, manyVectorLayer(), "4cfdefcef7c723c7", true);
 }
 
 } // namespace

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "cimloop/common/error.hh"
+#include "cimloop/macros/macros.hh"
+#include "cimloop/models/component.hh"
 #include "cimloop/workload/networks.hh"
 
 namespace cimloop::refsim {
@@ -170,6 +172,53 @@ TEST(Statistical, BufferEnergyIdentical)
     RefSimResult truth = simulateValueLevel(c, l, &prof);
     RefSimResult stat = estimateStatistical(c, l, prof);
     EXPECT_NEAR(truth.bufferPj, stat.bufferPj, 1e-9 * truth.bufferPj);
+}
+
+/** The ADC plug-in's energy per convert at @p bits and @p nm. */
+double
+pluginAdcPj(int bits, double nm)
+{
+    spec::SpecNode node;
+    node.name = "adc";
+    node.attributes["resolution"] = yaml::Node::makeInt(bits);
+    models::ComponentContext ctx;
+    ctx.node = &node;
+    ctx.technologyNm = nm;
+    const models::ComponentModel& adc =
+        models::PluginRegistry::instance().require("ADC");
+    return adc.estimate(ctx)
+        .actionEnergyPj[spec::tensorIndex(workload::TensorKind::Output)];
+}
+
+TEST(RefsimPhysics, AdcPriceIsThePlugins)
+{
+    // The value factor of a convert does not depend on the resolution,
+    // so between two resolutions only the plug-in's convert price moves.
+    RefSimConfig c = smallConfig();
+    c.technologyNm = 40.0;
+    workload::Layer l = testLayer();
+    dist::OperandProfile prof;
+    simulateValueLevel(c, l, &prof);
+    c.adcBits = 5;
+    const double at5 = estimateStatistical(c, l, prof).adcPj;
+    c.adcBits = 10;
+    const double at10 = estimateStatistical(c, l, prof).adcPj;
+    const double want = pluginAdcPj(5, 40.0) / pluginAdcPj(10, 40.0);
+    EXPECT_NEAR(at5 / at10, want, 1e-12 * want);
+}
+
+TEST(RefsimPhysics, ConfigDefaultsAreBaseMacro)
+{
+    // --refsim models the base macro: its operating point must not drift
+    // from the macro users build.
+    const RefSimConfig c;
+    const macros::MacroParams base = macros::baseDefaults();
+    EXPECT_EQ(c.rows, base.rows);
+    EXPECT_EQ(c.cols, base.cols);
+    EXPECT_EQ(c.technologyNm, base.technologyNm);
+    EXPECT_EQ(c.dacBits, base.dacBits);
+    EXPECT_EQ(c.cellBits, base.cellBits);
+    EXPECT_EQ(c.adcBits, base.adcBits);
 }
 
 TEST(AverageProfiles, MixesUniformly)

@@ -1,11 +1,13 @@
 #include "cimloop/workload/layer.hh"
 
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "cimloop/common/error.hh"
 #include "cimloop/yaml/parser.hh"
+#include "support/scratch.hh"
 
 namespace cimloop::workload {
 namespace {
@@ -114,7 +116,7 @@ TEST(NetworkYaml, Errors)
 
 TEST(NetworkYaml, FileRoundTrip)
 {
-    const char* path = "/tmp/cimloop_test_net.yaml";
+    const std::string path = support::scratchPath("net.yaml");
     {
         std::ofstream out(path);
         out << "name: filed\nlayers:\n"
